@@ -6,13 +6,18 @@ labelled as a bracket rather than silently trusted.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import one_shot_capacity
+from .coding import (
+    CODEBOOK_BUDGET,
+    _codebook_batches,
+    _ml_composed,
+    _uniform_deviation,
+    one_shot_capacity,
+)
 from .core import (
     ConvergenceError,
     Distribution,
@@ -91,12 +96,12 @@ class ShannonCapacityResult:
 
 
 def _input_divergences(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """D(column_x || out) in bits for every input symbol."""
+    """D(column_x || out) in bits for every input symbol, batched over leading axes."""
     terms = np.zeros_like(matrix)
     mask = matrix > 0.0
-    expanded = np.broadcast_to(out[:, None], matrix.shape)
+    expanded = np.broadcast_to(out[..., None], matrix.shape)
     terms[mask] = matrix[mask] * np.log2(matrix[mask] / expanded[mask])
-    return terms.sum(axis=0)
+    return terms.sum(axis=-2)
 
 
 def shannon_capacity(
@@ -141,10 +146,9 @@ class ConstrainedHolevoResult:
     witness: dict
 
 
-def _mutual_information_bits(t: np.ndarray) -> float:
-    m = t.shape[1]
-    out = t.mean(axis=1)
-    return float(_input_divergences(t, out).sum() / m)
+def _mutual_information_bits(t: np.ndarray) -> np.ndarray:
+    """Mutual information (bits, uniform input) of every channel in a batch."""
+    return _input_divergences(t, t.mean(axis=-1)).sum(axis=-1) / t.shape[-1]
 
 
 def constrained_holevo(
@@ -158,8 +162,9 @@ def constrained_holevo(
     classical version moves the uniform state by at most 2*theta in L1.
 
     Deterministic encoders (distinct input symbols with merge-by-likelihood
-    decoding) are enumerated, then seeded random stochastic pairs are tried;
-    the result is always a lower estimate of the true supremum.
+    decoding) are enumerated within the default codebook budget, then seeded
+    random stochastic pairs are tried; the result is always a lower estimate
+    of the true supremum.
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
@@ -168,37 +173,31 @@ def constrained_holevo(
     rng = np.random.default_rng(seed)
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}
-    best_m = 1
 
-    def consider(t: np.ndarray, witness: dict):
-        nonlocal best, best_witness, best_m
-        m = t.shape[1]
-        uniform = np.full(m, 1.0 / m)
-        deviation = float(np.abs(t @ uniform - uniform).sum())
-        if deviation > 2.0 * theta + 1e-12:
-            return
-        value = _mutual_information_bits(t)
-        if value > best:
-            best = value
-            best_witness = dict(witness, deviation=deviation)
-            best_m = m
+    def consider(t: np.ndarray, witness):
+        """Offer a batch of M-to-M channels; witness(i) describes channel i."""
+        nonlocal best, best_witness
+        dev = _uniform_deviation(t)
+        ok = np.flatnonzero(dev <= 2.0 * theta + 1e-12)
+        values = _mutual_information_bits(t[ok])
+        if values.size and values.max() > best:
+            i = ok[np.argmax(values)]
+            best = float(values.max())
+            best_witness = dict(witness(i), message_count=t.shape[-1], deviation=float(dev[i]))
 
-    from .coding import classical_version, ml_decoder, Codebook
-
-    for m in range(1, min(cap, ch.dim_in) + 1):
-        for combo in itertools.combinations(range(ch.dim_in), m):
-            cb = Codebook(inputs=combo, decoder=ml_decoder(ch, combo))
-            t = classical_version(ch, cb).composed.matrix
-            consider(t, {"kind": "deterministic", "inputs": list(combo), "message_count": m})
+    for combos, cols in _codebook_batches(ch, range(1, min(cap, ch.dim_in) + 1)):
+        consider(_ml_composed(cols),
+                 lambda i: {"kind": "deterministic", "inputs": combos[i].tolist()})
 
     for _ in range(n_random):
         m = int(rng.integers(1, cap + 1))
         k = rng.dirichlet(np.ones(ch.dim_in), size=m).T
         l = rng.dirichlet(np.ones(m), size=ch.dim_out).T
         t = l @ ch.matrix @ k
-        consider(t, {"kind": "random", "message_count": m})
+        consider(t[None], lambda i: {"kind": "random"})
 
-    return ConstrainedHolevoResult(bits=best, message_count=best_m, witness=best_witness)
+    return ConstrainedHolevoResult(bits=best, message_count=best_witness["message_count"],
+                                   witness=best_witness)
 
 
 def regularized_capacity_series(
@@ -206,7 +205,7 @@ def regularized_capacity_series(
     eps: float,
     k_max: int = 3,
     theta: float | None = None,
-    codebook_budget: int = 10_000_000,
+    codebook_budget: int = CODEBOOK_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
 ):

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import (
+    _codebook_batches,
+    _codebook_from_combo,
+    _ml_success,
     classical_version,
     gibbs_deviation,
     one_shot_capacity,
@@ -102,21 +105,16 @@ def _encoded_joint(ch: StochasticChannel, inputs, weights):
 
 
 def _best_codebooks_per_size(ch: StochasticChannel):
-    """Highest-success codebook for every message count (search family)."""
-    import itertools
-
-    from .coding import Codebook, ml_decoder
-
-    books = []
-    for m in range(1, ch.dim_in + 1):
-        best = None
-        for combo in itertools.combinations(range(ch.dim_in), m):
-            cols = ch.matrix[:, list(combo)]
-            ps = float(cols.max(axis=1).sum() / m)
-            if best is None or ps > best[0]:
-                best = (ps, combo)
-        books.append(Codebook(inputs=best[1], decoder=ml_decoder(ch, best[1])))
-    return books
+    """Highest-success codebook for every message count (search family);
+    the first maximum of each size wins."""
+    best = {}
+    for combos, cols in _codebook_batches(ch, range(1, ch.dim_in + 1)):
+        ps = _ml_success(cols)
+        i = int(np.argmax(ps))
+        m = combos.shape[1]
+        if m not in best or ps[i] > best[m][0]:
+            best[m] = (ps[i], combos[i])
+    return [_codebook_from_combo(ch, combo) for _, combo in best.values()]
 
 
 def _random_separable_inputs(ch: StochasticChannel, n_random: int, seed: int):

@@ -27,7 +27,7 @@ from .bounds import (
     equilibrium_capacity_bounds,
     landauer_scenario,
 )
-from .coding import one_shot_capacity, theta_equilibrium_capacity
+from .coding import CODEBOOK_BUDGET, one_shot_capacity, theta_equilibrium_capacity
 from .core import (
     Distribution,
     ErrorParams,
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--temperature", type=float, default=1.0,
                         help="rescale k_B*T work outputs by this temperature")
-    parser.add_argument("--budget-codebooks", type=int, default=10_000_000)
+    parser.add_argument("--budget-codebooks", type=int, default=CODEBOOK_BUDGET)
     parser.add_argument("--budget-atoms", type=int, default=1_000_000)
     parser.add_argument("--budget-samples", type=int, default=100_000)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -403,3 +403,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -25,6 +25,8 @@ from .core import (
 
 #: slack when comparing success probabilities against 1 - eps
 SUCCESS_TOL = 1e-12
+#: default cap on the number of codebooks one enumeration may visit
+CODEBOOK_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -122,63 +124,89 @@ class CapacityResult:
 
 
 def _codebook_from_combo(ch: StochasticChannel, combo) -> Codebook:
-    return Codebook(inputs=tuple(combo), decoder=ml_decoder(ch, combo))
+    return Codebook(inputs=tuple(int(x) for x in combo), decoder=ml_decoder(ch, combo))
 
 
-def _best_success(ch: StochasticChannel, combos: np.ndarray) -> np.ndarray:
-    """Vectorised ML success probability for a batch of input combinations."""
-    cols = ch.matrix[:, combos]  # (dim_out, n_combos, M)
-    return cols.max(axis=2).sum(axis=0) / combos.shape[1]
+def _codebook_batches(ch: StochasticChannel, sizes, budget: int = CODEBOOK_BUDGET,
+                      batch: int = 4096):
+    """Codebooks of distinct input symbols for each message count in `sizes`,
+    lexicographic within a size, in batches (combos, cols) where cols[b, j]
+    is the likelihood column of symbol combos[b, j].  The whole enumeration
+    is checked against `budget` before it starts."""
+    total = sum(math.comb(ch.dim_in, m) for m in sizes)
+    if total > budget:
+        raise SearchSpaceTooLargeError(f"{total} codebooks exceed the configured budget {budget}")
+    for m in sizes:
+        it = itertools.combinations(range(ch.dim_in), m)
+        while chunk := list(itertools.islice(it, batch)):
+            combos = np.array(chunk, dtype=np.intp)
+            yield combos, ch.matrix.T[combos]
 
 
-def _iter_combo_batches(dim_in: int, m: int, batch: int = 4096):
-    it = itertools.combinations(range(dim_in), m)
-    while True:
-        chunk = list(itertools.islice(it, batch))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.intp)
+def _ml_success(cols: np.ndarray) -> np.ndarray:
+    """ML success probability of every codebook in a batch."""
+    return cols.max(axis=1).sum(axis=1) / cols.shape[1]
 
 
-def _search_exact(ch, eps, m_cap, codebook_budget, extra_feasible=None):
+def _ml_composed(cols: np.ndarray) -> np.ndarray:
+    """ClassicalVersion.composed of every codebook in a batch, in the same float order."""
+    decoded = cols.argmax(axis=1)[:, None, :] == np.arange(cols.shape[1])[:, None]
+    t = decoded @ cols.transpose(0, 2, 1)
+    return t / t.sum(axis=1, keepdims=True)
+
+
+def _uniform_deviation(t: np.ndarray) -> np.ndarray:
+    """L1 distance of each channel's image of uniform from uniform (batched)."""
+    uniform = np.full(t.shape[-1], 1.0 / t.shape[-1])
+    return np.abs(t @ uniform - uniform).sum(axis=-1)
+
+
+def _feasible(cols: np.ndarray, eps: float, theta: float | None) -> np.ndarray:
+    """Indices of the batch's codebooks with success at least 1 - eps and,
+    with theta given, uniform deviation at most 2*theta."""
+    ok = np.flatnonzero(_ml_success(cols) >= (1.0 - eps) - SUCCESS_TOL)
+    if theta is not None:
+        ok = ok[_uniform_deviation(_ml_composed(cols[ok])) <= 2.0 * theta + SUCCESS_TOL]
+    return ok
+
+
+def _search_exact(ch, eps, theta, m_cap, codebook_budget):
     """Largest message count admitting a feasible codebook, searched with M
     descending and combinations in lexicographic order (first hit wins)."""
-    total = sum(math.comb(ch.dim_in, m) for m in range(1, m_cap + 1))
-    if total > codebook_budget:
-        raise SearchSpaceTooLargeError(
-            f"{total} codebooks exceed the configured budget {codebook_budget}"
-        )
-    for m in range(m_cap, 0, -1):
-        for combos in _iter_combo_batches(ch.dim_in, m):
-            ps = _best_success(ch, combos)
-            for i in np.flatnonzero(ps >= (1.0 - eps) - SUCCESS_TOL):
-                cb = _codebook_from_combo(ch, combos[i])
-                if extra_feasible is None or extra_feasible(cb):
-                    return cb
-    return None
+    for combos, cols in _codebook_batches(ch, range(m_cap, 0, -1), codebook_budget):
+        hits = _feasible(cols, eps, theta)
+        if hits.size:
+            return _codebook_from_combo(ch, combos[hits[0]])
+    raise ThermocapError("single-message codebooks are always feasible; this is a bug")
 
 
-def _search_randomized(ch, eps, m_cap, samples, seed, extra_feasible=None):
+def _search_randomized(ch, eps, theta, m_cap, samples, seed):
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(samples):
         m = int(rng.integers(1, m_cap + 1))
-        combo = tuple(sorted(rng.choice(ch.dim_in, size=m, replace=False)))
-        cols = ch.matrix[:, list(combo)]
-        ps = float(cols.max(axis=1).sum() / m)
-        if ps >= (1.0 - eps) - SUCCESS_TOL:
-            if best is None or m > best.message_count:
-                cb = _codebook_from_combo(ch, combo)
-                if extra_feasible is None or extra_feasible(cb):
-                    best = cb
-    return best
+        combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
+        if best is None or m > best.message_count:
+            if _feasible(ch.matrix.T[combo][None], eps, theta).size:
+                best = _codebook_from_combo(ch, combo)
+    return best or _codebook_from_combo(ch, (0,))
+
+
+def _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed):
+    m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
+    if randomized:
+        cb = _search_randomized(ch, eps, theta, m_cap, samples, seed)
+    else:
+        cb = _search_exact(ch, eps, theta, m_cap, codebook_budget)
+    return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=not randomized,
+                          method="randomized" if randomized else "exhaustive")
 
 
 def one_shot_capacity(
     ch: StochasticChannel,
     eps: float,
     max_messages: int | None = None,
-    codebook_budget: int = 10_000_000,
+    codebook_budget: int = CODEBOOK_BUDGET,
     randomized: bool = False,
     samples: int = 100_000,
     seed: int = 0,
@@ -192,20 +220,7 @@ def one_shot_capacity(
     """
     if not 0.0 <= eps <= 1.0:
         raise ThermocapError("eps must lie in [0, 1]")
-    m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
-    if randomized:
-        cb = _search_randomized(ch, eps, m_cap, samples, seed)
-        if cb is None:
-            cb = _codebook_from_combo(ch, (0,))
-        return CapacityResult(
-            bits=math.log2(cb.message_count), codebook=cb, exact=False, method="randomized"
-        )
-    cb = _search_exact(ch, eps, m_cap, codebook_budget)
-    if cb is None:
-        raise ThermocapError("even a single message failed; eps handling is broken")
-    return CapacityResult(
-        bits=math.log2(cb.message_count), codebook=cb, exact=True, method="exhaustive"
-    )
+    return _capacity(ch, eps, None, max_messages, codebook_budget, randomized, samples, seed)
 
 
 def theta_equilibrium_capacity(
@@ -213,7 +228,7 @@ def theta_equilibrium_capacity(
     eps: float,
     theta: float,
     max_messages: int | None = None,
-    codebook_budget: int = 10_000_000,
+    codebook_budget: int = CODEBOOK_BUDGET,
     randomized: bool = False,
     samples: int = 100_000,
     seed: int = 0,
@@ -222,21 +237,4 @@ def theta_equilibrium_capacity(
     version moves the uniform message state by at most 2*theta in L1."""
     if not (0.0 < eps <= theta < 0.5):
         raise ThermocapError("need 0 < eps <= theta < 1/2")
-
-    def feasible(cb: Codebook) -> bool:
-        return gibbs_deviation(classical_version(ch, cb)) <= 2.0 * theta + SUCCESS_TOL
-
-    m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
-    if randomized:
-        cb = _search_randomized(ch, eps, m_cap, samples, seed, extra_feasible=feasible)
-        if cb is None:
-            cb = _codebook_from_combo(ch, (0,))
-        return CapacityResult(
-            bits=math.log2(cb.message_count), codebook=cb, exact=False, method="randomized"
-        )
-    cb = _search_exact(ch, eps, m_cap, codebook_budget, extra_feasible=feasible)
-    if cb is None:
-        raise ThermocapError("single-message codebooks are always feasible; this is a bug")
-    return CapacityResult(
-        bits=math.log2(cb.message_count), codebook=cb, exact=True, method="exhaustive"
-    )
+    return _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed)

@@ -1,19 +1,25 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from thermocap import (
+    Codebook,
     ConvergenceSeries,
     Distribution,
     StochasticChannel,
     binary_entropy,
+    classical_version,
     constrained_holevo,
+    ml_decoder,
     regularized_capacity_series,
     relative_entropy,
     shannon_capacity,
     stein_series,
+    tensor_power_channel,
 )
-from thermocap.core import SupportViolationError, ThermocapError
+from thermocap.core import SearchSpaceTooLargeError, SupportViolationError, ThermocapError
 
 from conftest import random_channel
 
@@ -113,6 +119,48 @@ class TestConstrainedHolevo:
         ch = random_channel(rng, 3, 3)
         values = [constrained_holevo(ch, th, n_random=50).bits for th in (0.05, 0.15, 0.3, 0.45)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_enumeration_budget_raises_at_once(self):
+        # 2^24 - 1 deterministic codebooks exceed the default budget
+        with pytest.raises(SearchSpaceTooLargeError):
+            constrained_holevo(StochasticChannel.identity(24), 0.25)
+
+    @pytest.mark.parametrize("ch", [
+        *(random_channel(np.random.default_rng(9), d_in, d_out)
+          for d_in, d_out in [(3, 3), (4, 6), (6, 4)]),
+        StochasticChannel.identity(3),
+        tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 2),
+        StochasticChannel(np.eye(3)[:, [0, 1, 2, 0]]),  # duplicate symbol: tied witnesses
+    ])
+    def test_deterministic_witness_matches_reference_loop(self, ch):
+        # reference: one ClassicalVersion per combination, and only a
+        # strictly better value replaces the incumbent
+        for theta in (0.05, 0.25, 0.45):
+            best, witness = 0.0, None
+            for m in range(1, ch.dim_in + 1):
+                uniform = np.full(m, 1.0 / m)
+                for combo in itertools.combinations(range(ch.dim_in), m):
+                    cb = Codebook(inputs=combo, decoder=ml_decoder(ch, combo))
+                    t = classical_version(ch, cb).composed.matrix
+                    deviation = float(np.abs(t @ uniform - uniform).sum())
+                    if deviation > 2.0 * theta + 1e-12:
+                        continue
+                    out = np.broadcast_to(t.mean(axis=1)[:, None], t.shape)
+                    terms = np.zeros_like(t)
+                    mask = t > 0.0
+                    terms[mask] = t[mask] * np.log2(t[mask] / out[mask])
+                    value = float(terms.sum(axis=0).sum() / m)
+                    if value > best:
+                        best, witness = value, (list(combo), deviation)
+            res = constrained_holevo(ch, theta, n_random=0)
+            assert res.bits == pytest.approx(best, abs=1e-12)
+            if witness is None:
+                assert res.witness == {"kind": "trivial", "message_count": 1}
+            else:
+                assert res.witness["kind"] == "deterministic"
+                assert res.witness["inputs"] == witness[0]
+                assert res.message_count == len(witness[0])
+                assert res.witness["deviation"] == pytest.approx(witness[1], abs=1e-12)
 
     def test_matches_unconstrained_at_loose_theta(self, rng):
         # reported consistency: loose constraints recover the capacity

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from thermocap import (
     landauer_scenario,
     tensor_power_channel,
 )
+from thermocap.bounds import _best_codebooks_per_size
 from thermocap.core import LN2, NoFeasibleCodebookError, ThermocapError
 
 from conftest import random_channel
@@ -159,3 +161,24 @@ class TestLandauerScenario:
         a = landauer_scenario(StochasticChannel.identity(3), 0.05, 5000, seed=7)
         b = landauer_scenario(StochasticChannel.identity(3), 0.05, 5000, seed=7)
         assert a.to_dict() == b.to_dict()
+
+
+class TestSearchFamily:
+    @pytest.mark.parametrize("ch", [
+        *(random_channel(np.random.default_rng(5), d_in, d_out)
+          for d_in, d_out in [(3, 3), (5, 4), (6, 9)]),
+        StochasticChannel.identity(4),
+        tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 2),
+        StochasticChannel(np.eye(3)[:, [0, 1, 2, 0]]),  # duplicate symbol: tied witnesses
+    ])
+    def test_best_codebook_per_size_matches_brute_force(self, ch):
+        # reference: per-combination ML success, the first maximum wins
+        expected = []
+        for m in range(1, ch.dim_in + 1):
+            best = None
+            for combo in itertools.combinations(range(ch.dim_in), m):
+                ps = float(ch.matrix[:, list(combo)].max(axis=1).sum() / m)
+                if best is None or ps > best[0]:
+                    best = (ps, combo)
+            expected.append(best[1])
+        assert [cb.inputs for cb in _best_codebooks_per_size(ch)] == expected

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,23 @@ class TestCapacityCommand:
                                      "--eps", "0.15", "--theta", "0.15"])
         assert code == 0
         assert json.loads(out)["result"]["bits"] == 1.0
+
+
+    def test_module_entry_point(self, files):
+        # python -m thermocap.cli runs the same front end as the script
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermocap.cli", "capacity", "--channel", files["identity4"],
+             "--eps", "0"],
+            capture_output=True, env=env, cwd=files["tmp"], timeout=120,
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["command"] == "capacity"
+        assert report["result"]["bits"] == 2.0
+        assert report["result"]["codebook_inputs"] == [0, 1, 2, 3]
 
 
 class TestWorkCommands:

@@ -14,13 +14,32 @@ from thermocap import (
     success_probability,
     theta_equilibrium_capacity,
 )
-from thermocap.core import SearchSpaceTooLargeError, ThermocapError
+from thermocap.coding import (
+    _codebook_batches,
+    _ml_composed,
+    _ml_success,
+    _uniform_deviation,
+)
+from thermocap.core import SearchSpaceTooLargeError, ThermocapError, tensor_power_channel
 
 from conftest import random_channel
 
 
 def _codebook(ch, inputs):
     return Codebook(inputs=tuple(inputs), decoder=ml_decoder(ch, inputs))
+
+
+def enumeration_channels():
+    """Seeded random channels (square, wide and tall outputs), identities,
+    BSC^2 and a channel with a repeated input symbol, whose exact ties pin
+    the tie-break."""
+    rng = np.random.default_rng(11)
+    chans = [random_channel(rng, d_in, d_out)
+             for d_in, d_out in [(2, 2), (3, 3), (4, 4), (5, 3), (4, 7), (6, 9), (7, 5)]]
+    chans += [StochasticChannel.identity(d) for d in (1, 3, 5)]
+    chans.append(tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 2))
+    chans.append(StochasticChannel(np.eye(3)[:, [0, 1, 2, 0]]))
+    return chans
 
 
 class TestSuccessProbability:
@@ -183,3 +202,48 @@ class TestThetaEquilibrium:
         ch = StochasticChannel.identity(2)
         with pytest.raises(ThermocapError):
             theta_equilibrium_capacity(ch, 0.3, 0.2)
+
+    @pytest.mark.parametrize("ch", enumeration_channels())
+    def test_first_feasible_codebook_in_search_order(self, ch):
+        # reference: M descending, combinations in lexicographic order, the
+        # first codebook that meets both constraints wins
+        for eps, theta in [(0.1, 0.1), (0.2, 0.25), (0.3, 0.45)]:
+            expected = None
+            for m in range(ch.dim_in, 0, -1):
+                for combo in itertools.combinations(range(ch.dim_in), m):
+                    cv = classical_version(ch, _codebook(ch, combo))
+                    if (success_probability(cv) >= 1.0 - eps - 1e-12
+                            and gibbs_deviation(cv) <= 2.0 * theta + 1e-12):
+                        expected = combo
+                        break
+                if expected is not None:
+                    break
+            assert theta_equilibrium_capacity(ch, eps, theta).codebook.inputs == expected
+
+
+class TestBatchedEnumerator:
+    def test_lexicographic_order_in_batches(self):
+        ch = random_channel(np.random.default_rng(2), 6, 4)
+        seen = [tuple(c) for combos, _ in _codebook_batches(ch, [4, 2], batch=4)
+                for c in combos.tolist()]
+        expected = (list(itertools.combinations(range(6), 4))
+                    + list(itertools.combinations(range(6), 2)))
+        assert seen == expected
+
+    def test_budget_covers_every_size(self):
+        ch = StochasticChannel.identity(5)
+        with pytest.raises(SearchSpaceTooLargeError):
+            next(_codebook_batches(ch, range(1, 6), budget=30))
+        assert sum(len(c) for c, _ in _codebook_batches(ch, range(1, 6), budget=31)) == 31
+
+    @pytest.mark.parametrize("ch", enumeration_channels())
+    def test_helpers_match_classical_version(self, ch):
+        for combos, cols in _codebook_batches(ch, range(1, ch.dim_in + 1)):
+            ps = _ml_success(cols)
+            t = _ml_composed(cols)
+            deviation = _uniform_deviation(t)
+            for b, combo in enumerate(combos.tolist()):
+                cv = classical_version(ch, _codebook(ch, combo))
+                assert abs(ps[b] - success_probability(cv)) <= 1e-12
+                assert np.abs(t[b] - cv.composed.matrix).max() <= 1e-12
+                assert abs(deviation[b] - gibbs_deviation(cv)) <= 1e-12
