@@ -3,8 +3,10 @@
 Suprema over infinite families are never chased: searches only ever produce
 valid lower estimates, while upper bounds come from the capacity-achieving
 codebook itself, which is a feasible point of the bounding expression and
-provably dominates the capacity.  A "violation" verdict therefore always
-signals an implementation bug, not new physics.
+provably dominates the capacity; a smoothed Renyi-0 value enters an upper
+bound through the upper end of its bracket, so a node-budget bracket cannot
+fake a violation.  A "violation" verdict therefore always signals an
+implementation bug, not new physics.
 """
 from __future__ import annotations
 
@@ -135,8 +137,9 @@ def capacity_entropic_bounds(
     """Two-sided entropic check on the one-shot capacity (CLI: bounds thm2).
 
     Lower: best hypothesis-testing value over separable inputs minus the
-    one-shot penalty.  Upper: the smoothed Renyi-0 value of the capacity
-    codebook's classical version on the maximally correlated input.
+    one-shot penalty.  Upper: the upper end of the smoothed Renyi-0 bracket of
+    the capacity codebook's classical version on the maximally correlated
+    input.
     """
     params.require_sandwich()
     eps, omega, delta = params.eps, params.omega, params.delta
@@ -160,7 +163,7 @@ def capacity_entropic_bounds(
     m = cap.codebook.message_count
     q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
     d0 = smoothed_renyi0(q, r, eps + delta)
-    upper = d0.bits
+    upper = d0.bracket[1]
 
     problems = []
     if deviation > 2.0 * (eps + delta) + 1e-9:
@@ -230,7 +233,7 @@ def capacity_work_bounds(
     m = cap.codebook.message_count
     q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
     d0_upper = smoothed_renyi0(q, r, eps + delta)
-    upper = LN2 * d0_upper.bits + math.log(1.0 / (1.0 - eps - delta))
+    upper = LN2 * d0_upper.bracket[1] + math.log(1.0 / (1.0 - eps - delta))
 
     problems = []
     if deviation > 2.0 * (eps + delta) + 1e-9:
@@ -262,8 +265,8 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
     """Chain check for the equilibrium-constrained capacity (CLI: bounds prop2).
 
     Verifies capacity <= constrained capacity <= correlation-work surrogate,
-    where the surrogate is the doubled-error smoothed Renyi-0 value of the
-    constrained witness (its own work bracket is attached).
+    where the surrogate is the upper end of the doubled-error smoothed Renyi-0
+    bracket of the constrained witness (its own work bracket is attached).
     """
     limit = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
     if not 0.0 < eps < limit:
@@ -277,7 +280,7 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
     m = cap_equi.codebook.message_count
     q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
     d0 = smoothed_renyi0(q, r, 2.0 * eps)
-    surrogate = d0.bits
+    surrogate = d0.bracket[1]
     surrogate_upper = surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))
 
     problems = []

@@ -173,7 +173,6 @@ def build_parser() -> _Parser:
     entropy.add_argument("--p", required=True)
     entropy.add_argument("--q", required=True)
     entropy.add_argument("--eps", type=float, default=None)
-    entropy.add_argument("--allow-heuristic", action="store_true")
 
     capacity = sub.add_parser("capacity", help="one-shot capacity oracle")
     capacity.add_argument("--channel", required=True)
@@ -239,7 +238,7 @@ def _run_entropy(args):
         return params, {"bits": relative_entropy(p, q)}
     _require(args, ["eps"])
     if args.which == "d0":
-        res = smoothed_renyi0(p, q, args.eps, allow_heuristic=args.allow_heuristic)
+        res = smoothed_renyi0(p, q, args.eps)
         return params, {
             "bits": res.bits,
             "witness": list(res.witness.indices),

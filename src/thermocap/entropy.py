@@ -1,9 +1,9 @@
 """Entropic quantities for commuting (diagonal) states.
 
-Everything here is exact: the smoothed Renyi-0 entropy is a subset-selection
-problem solved by enumeration or branch-and-bound, and the hypothesis-testing
-entropy is a fractional-knapsack linear program solved greedily.  All values
-are in bits.
+The smoothed Renyi-0 entropy is a subset-selection problem solved exactly by
+enumeration or branch-and-bound, or bracketed when the branch-and-bound node
+budget runs out; the hypothesis-testing entropy is a fractional-knapsack
+linear program solved greedily.  All values are in bits.
 """
 from __future__ import annotations
 
@@ -27,10 +27,10 @@ from .core import (
 #: so exact-boundary analytic cases are not lost to rounding noise
 FEASIBILITY_SLACK = 1e-12
 
-#: exact subset enumeration up to this dimension
+#: exact subset enumeration up to this dimension, branch-and-bound above it
 ENUM_LIMIT = 20
-#: exact branch-and-bound up to this dimension
-BNB_LIMIT = 30
+#: branch-and-bound nodes visited before the search stops with a bracket
+NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,15 @@ def _feasibility_threshold(eps: float) -> float:
     return (1.0 - eps) - FEASIBILITY_SLACK
 
 
+def _bits(mass: float) -> float:
+    """-log2 of a reference mass; an empty mass is worth infinitely many bits."""
+    return math.inf if mass <= 0.0 else -math.log2(mass)
+
+
 def _subset_value(r: np.ndarray, indices) -> float:
     """Canonical bits value of a witness set (index-order summation)."""
     mass = float(np.sum(r[np.asarray(indices, dtype=np.intp)])) if len(indices) else 0.0
-    return math.inf if mass <= 0.0 else -math.log2(mass)
+    return _bits(mass)
 
 
 def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
@@ -146,20 +151,10 @@ def _ratio_order(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Greedy processing order: free outcomes (r == 0) first, with the
     vacuous q == 0 ones leading; then ascending r/q; unreachable q == 0,
     r > 0 outcomes last.  Ties break toward the lower index."""
-    d = q.size
-    group = np.empty(d, dtype=np.int64)
-    ratio = np.zeros(d)
-    for j in range(d):
-        if r[j] == 0.0 and q[j] == 0.0:
-            group[j] = 0
-        elif r[j] == 0.0:
-            group[j] = 1
-        elif q[j] > 0.0:
-            group[j] = 2
-            ratio[j] = r[j] / q[j]
-        else:
-            group[j] = 3
-    return np.lexsort((np.arange(d), ratio, group))
+    free, reachable = r == 0.0, q > 0.0
+    group = np.where(free, reachable.astype(np.int64), np.where(reachable, 2, 3))
+    ratio = np.divide(r, q, out=np.zeros(q.size), where=~free & reachable)
+    return np.lexsort((np.arange(q.size), ratio, group))
 
 
 def hypothesis_testing_entropy(p: Distribution, q: Distribution, eps: float):
@@ -192,8 +187,7 @@ def hypothesis_testing_entropy(p: Distribution, q: Distribution, eps: float):
             weights[j] = frac
             covered += need
             cost += frac * rv[j]
-    bits = math.inf if cost <= 0.0 else -math.log2(cost)
-    return bits, FractionalTest(weights=weights)
+    return _bits(cost), FractionalTest(weights=weights)
 
 
 def _fractional_cover_cost(q_sorted, r_sorted, start, need):
@@ -211,41 +205,39 @@ def _fractional_cover_cost(q_sorted, r_sorted, start, need):
 
 
 def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
-    """Exact best subset via depth-first branch-and-bound.
+    """Best subset via depth-first branch-and-bound, within NODE_BUDGET nodes.
 
     Outcomes with r == 0 are always included (free), outcomes with q == 0
     and r > 0 never are; the rest are branched in ratio order with the
-    fractional-cover relaxation as the pruning bound.
+    fractional-cover relaxation as the pruning bound.  Returns the best index
+    set found and None when the search finished, so the set is optimal; when
+    the budget ran out first, the root relaxation cost in place of None, a
+    lower bound on the r-mass of every feasible set.
     """
-    d = q.size
-    free = [j for j in range(d) if r[j] == 0.0]
-    candidates = [j for j in range(d) if r[j] > 0.0 and q[j] > 0.0]
-    base_q = float(np.sum(q[free])) if free else 0.0
-
-    order = sorted(candidates, key=lambda j: (r[j] / q[j], j))
-    qs = np.array([q[j] for j in order])
-    rs = np.array([r[j] for j in order])
+    free = np.flatnonzero(r == 0.0)
+    order = _ratio_order(q, r)
+    order = order[(r[order] > 0.0) & (q[order] > 0.0)]
+    base_q = float(np.sum(q[free])) if free.size else 0.0
+    qs, rs = q[order], r[order]
     suffix_q = np.concatenate([np.cumsum(qs[::-1])[::-1], [0.0]])
 
-    best_cost = math.inf
-    best_set: list | None = None
-
-    # include the full candidate set as the always-feasible starting incumbent
-    if base_q + (suffix_q[0] if order else 0.0) > threshold:
-        best_cost = float(np.sum(rs))
-        best_set = list(range(len(order)))
-    else:
+    # the full candidate set is the always-feasible starting incumbent
+    if not base_q + suffix_q[0] > threshold:
         raise ThermocapError("no feasible index set (eps <= 0?)")
+    best_cost = float(np.sum(rs))
+    best_set = list(range(order.size))
 
     stack = [(0, 0.0, 0.0, [])]
-    while stack:
+    nodes = 0
+    while stack and nodes < NODE_BUDGET:
+        nodes += 1
         idx, q_acc, r_acc, chosen = stack.pop()
         if base_q + q_acc > threshold:
-            if r_acc < best_cost - 1e-18 or (r_acc <= best_cost and best_set is None):
+            if r_acc < best_cost - 1e-18:
                 best_cost = r_acc
                 best_set = chosen
             continue
-        if idx == len(order):
+        if idx == order.size:
             continue
         if base_q + q_acc + suffix_q[idx] <= threshold:
             continue  # cannot become feasible
@@ -257,34 +249,20 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
         stack.append((idx + 1, q_acc, r_acc, chosen))
         stack.append((idx + 1, q_acc + qs[idx], r_acc + rs[idx], chosen + [idx]))
 
-    indices = sorted(free + [order[i] for i in best_set])
-    return tuple(indices)
+    indices = tuple(sorted([int(j) for j in free] + [int(order[i]) for i in best_set]))
+    if not stack:
+        return indices, None
+    return indices, _fractional_cover_cost(qs, rs, 0, threshold - base_q)
 
 
-def _greedy_feasible_subset(q: np.ndarray, r: np.ndarray, threshold: float):
-    order = _ratio_order(q, r)
-    chosen = []
-    mass = 0.0
-    for j in order:
-        if mass > threshold:
-            break
-        chosen.append(int(j))
-        mass += q[j]
-    return tuple(sorted(chosen))
-
-
-def smoothed_renyi0(
-    p: Distribution,
-    q: Distribution,
-    eps: float,
-    allow_heuristic: bool = False,
-) -> Renyi0Result:
+def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Result:
     """Smoothed Renyi-0 entropy of p relative to q.
 
     Maximises log2(1 / sum_{j in S} q_j-reference-mass) over index sets S whose
     p-mass strictly exceeds 1 - eps.  Exact by enumeration for dim <= 20 and
-    by branch-and-bound for dim <= 30; beyond that a greedy/relaxation bracket
-    is returned when allow_heuristic is set.
+    by branch-and-bound above; a search that exhausts NODE_BUDGET returns its
+    incumbent as the value and the bracket (incumbent, root relaxation bound),
+    labelled "node_budget_bracket".
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("distributions must share a dimension")
@@ -294,18 +272,11 @@ def smoothed_renyi0(
     threshold = _feasibility_threshold(eps)
 
     if p.dim <= ENUM_LIMIT:
-        indices = _enumerate_best_subset(qv, rv, threshold)
+        indices, bound = _enumerate_best_subset(qv, rv, threshold), None
         method = "enumeration"
-    elif p.dim <= BNB_LIMIT:
-        indices = _branch_and_bound_subset(qv, rv, threshold)
-        method = "branch_and_bound"
-    elif allow_heuristic:
-        indices = _greedy_feasible_subset(qv, rv, threshold)
-        method = "greedy_bracket"
     else:
-        raise DimensionTooLargeError(
-            f"dim {p.dim} exceeds the exact limit {BNB_LIMIT}; pass allow_heuristic for a bracket"
-        )
+        indices, bound = _branch_and_bound_subset(qv, rv, threshold)
+        method = "branch_and_bound" if bound is None else "node_budget_bracket"
 
     idx = np.asarray(indices, dtype=np.intp)
     witness = SubsetWitness(
@@ -314,11 +285,7 @@ def smoothed_renyi0(
         r_mass=float(np.sum(rv[idx])) if idx.size else 0.0,
     )
     bits = _subset_value(rv, indices)
-    if method == "greedy_bracket":
-        upper, _ = hypothesis_testing_entropy(p, q, eps)
-        bracket = (bits, upper)
-    else:
-        bracket = (bits, bits)
+    bracket = (bits, bits if bound is None else _bits(bound))
     return Renyi0Result(bits=bits, witness=witness, method=method, bracket=bracket)
 
 

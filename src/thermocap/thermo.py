@@ -400,7 +400,8 @@ class WorkExtractionResult:
     delta: float
     eps: float
     entropy_bits: float
-    #: (ln2 * entropy, ln2 * entropy + ln(1/(1-eps))) in k_B*T
+    #: (ln2 * entropy, ln2 * entropy + ln(1/(1-eps))) in k_B*T, the upper end
+    #: taken from the upper end of the entropy's bracket
     bracket: tuple
     e_cut: float
     k_steps: int
@@ -466,7 +467,7 @@ def extractable_work(
         delta=realised,
         eps=eps,
         entropy_bits=d0.bits,
-        bracket=(ideal, ideal + math.log(1.0 / (1.0 - eps))),
+        bracket=(ideal, LN2 * d0.bracket[1] + math.log(1.0 / (1.0 - eps))),
         e_cut=e_cut,
         k_steps=k_steps,
         distribution_mode=wd.mode,

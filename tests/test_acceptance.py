@@ -81,7 +81,7 @@ def test_criterion_1_entropic_oracle_equivalence():
         q = random_distribution(rng, dim, allow_zeros=True)
         eps = float(rng.uniform(1e-6, 0.45))
         enum = smoothed_renyi0(p, q, eps)
-        bnb = _branch_and_bound_subset(p.probs, q.probs, _feasibility_threshold(eps))
+        bnb, _ = _branch_and_bound_subset(p.probs, q.probs, _feasibility_threshold(eps))
         assert _subset_value(q.probs, bnb) == enum.bits
         dh, _ = hypothesis_testing_entropy(p, q, eps)
         lp = dense_lp_oracle(p, q, eps)

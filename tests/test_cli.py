@@ -65,6 +65,19 @@ class TestEntropyCommands:
         assert code == 0
         assert json.loads(out)["result"]["bits"] == 2.0
 
+    def test_d0_above_thirty_runs_branch_and_bound(self, capsys, files):
+        rng = np.random.default_rng(40)
+        p = _write(files["tmp"], "p40.json", {"probs": rng.dirichlet(np.ones(40)).tolist()})
+        q = _write(files["tmp"], "q40.json", {"probs": rng.dirichlet(np.ones(40)).tolist()})
+        code, out, _ = _run(capsys, ["entropy", "d0", "--p", p, "--q", q, "--eps", "0.2"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["method"] == "branch_and_bound"
+        assert result["bracket"] == [result["bits"], result["bits"]]
+        code, _, _ = _run(capsys, ["entropy", "d0", "--p", p, "--q", q, "--eps", "0.2",
+                                   "--allow-heuristic"])
+        assert code == 1  # the flag is gone: a usage error
+
 
 class TestCapacityCommand:
     def test_identity_perfect(self, capsys, files):
@@ -131,6 +144,24 @@ class TestBoundsCommands:
                                      "--eps", "0.1", "--theta", "0.1"])
         assert code == 0
         assert json.loads(out)["result"]["verdict"] == "consistent"
+
+    @pytest.mark.parametrize("argv, key, capacity", [
+        (["bounds", "thm2", "--eps", "0.15", "--omega", "0.075", "--delta", "0.05"],
+         "capacity", math.log2(6)),
+        (["bounds", "thm4", "--eps", "0.2", "--omega", "0.1", "--delta", "0.05"],
+         "capacity", math.log(2) * math.log2(6)),
+        (["bounds", "prop2", "--eps", "0.1", "--theta", "0.1"], "capacity", math.log2(6)),
+        (["landauer", "--eps", "0.01", "--trials", "20000"], "bits", math.log2(6)),
+    ])
+    def test_six_message_codebook(self, capsys, files, argv, key, capacity):
+        # the checkers build a 6 x 6 joint: 36 outcomes for the subset solver
+        identity6 = _write(files["tmp"], "identity6.json",
+                           {"matrix": np.eye(6).tolist(), "dim_in": 6, "dim_out": 6})
+        code, out, _ = _run(capsys, argv + ["--channel", identity6])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "consistent"
+        assert result[key] == pytest.approx(capacity, abs=1e-12)
 
     def test_violation_exit_code(self, capsys, files, monkeypatch):
         fake = BoundReport(

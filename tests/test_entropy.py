@@ -6,6 +6,7 @@ import pytest
 from thermocap import (
     Distribution,
     binary_entropy,
+    entropy,
     hypothesis_testing_entropy,
     hypothesis_testing_entropy_iid_binary,
     min_positive_prob,
@@ -14,7 +15,7 @@ from thermocap import (
     smoothed_renyi0,
     tensor_power,
 )
-from thermocap.core import DimensionTooLargeError, InfiniteValueError, SupportViolationError
+from thermocap.core import InfiniteValueError, SupportViolationError
 from thermocap.entropy import brute_force_renyi0, dense_lp_oracle
 
 from conftest import random_distribution
@@ -126,19 +127,68 @@ class TestSmoothedRenyi0:
             q = random_distribution(rng, dim, allow_zeros=True)
             eps = float(rng.uniform(0.02, 0.6))
             enum = smoothed_renyi0(p, q, eps)
-            bnb_indices = _branch_and_bound_subset(
+            bnb_indices, _ = _branch_and_bound_subset(
                 p.probs, q.probs, _feasibility_threshold(eps)
             )
             assert _subset_value(q.probs, bnb_indices) == enum.bits
 
-    def test_dimension_limits(self, rng):
+    def test_branch_and_bound_above_thirty(self, rng):
         p = random_distribution(rng, 35)
         q = random_distribution(rng, 35)
-        with pytest.raises(DimensionTooLargeError):
-            smoothed_renyi0(p, q, 0.2)
-        res = smoothed_renyi0(p, q, 0.2, allow_heuristic=True)
-        assert res.method == "greedy_bracket"
-        assert res.bracket[0] <= res.bracket[1] + 1e-12
+        res = smoothed_renyi0(p, q, 0.2)
+        assert res.method == "branch_and_bound"
+        assert res.exact
+        assert res.bracket == (res.bits, res.bits)
+        assert res.witness.q_mass > (1 - 0.2) - 1e-12
+        dh, _ = hypothesis_testing_entropy(p, q, 0.2)
+        assert res.bits <= dh + 1e-12
+
+    def test_ratio_order_matches_loop_reference(self, rng):
+        def loop_order(q, r):
+            group, ratio = np.empty(q.size, dtype=np.int64), np.zeros(q.size)
+            for j in range(q.size):
+                if r[j] == 0.0:
+                    group[j] = 0 if q[j] == 0.0 else 1
+                elif q[j] > 0.0:
+                    group[j], ratio[j] = 2, r[j] / q[j]
+                else:
+                    group[j] = 3
+            return np.lexsort((np.arange(q.size), ratio, group))
+
+        # zeros in both vectors reach all four groups; r = q makes every ratio tie
+        for _ in range(300):
+            dim = int(rng.integers(1, 40))
+            q = rng.dirichlet(np.ones(dim))
+            r = q.copy() if rng.random() < 0.3 else rng.dirichlet(np.ones(dim))
+            q[rng.random(dim) < 0.3] = 0.0
+            r[rng.random(dim) < 0.3] = 0.0
+            assert np.array_equal(entropy._ratio_order(q, r), loop_order(q, r))
+
+    def test_uniform_ties_bracket_the_analytic_value(self):
+        # all ratios tie, so no bound prunes and the search runs out of nodes;
+        # 58 of 64 equal outcomes are the fewest with mass above 0.9
+        u = Distribution(np.full(64, 1 / 64))
+        res = smoothed_renyi0(u, u, 0.1)
+        assert res.method == "node_budget_bracket"
+        assert not res.exact
+        lo, hi = res.bracket
+        assert lo == res.bits
+        assert lo - 1e-12 <= math.log2(64 / 58) <= hi + 1e-12
+
+    def test_node_budget_bracket_contains_exact_value(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        probs = rng.dirichlet(np.ones(24))
+        near = probs * np.exp(1e-3 * rng.standard_normal(24))
+        p, q = Distribution(probs), Distribution(near / near.sum())
+        exact = smoothed_renyi0(p, q, 0.15)
+        assert exact.method == "branch_and_bound"
+        monkeypatch.setattr(entropy, "NODE_BUDGET", 200)
+        res = smoothed_renyi0(p, q, 0.15)
+        assert res.method == "node_budget_bracket"
+        assert not res.exact
+        assert res.bits == res.bracket[0]
+        assert res.witness.q_mass > (1 - 0.15) - 1e-12
+        assert res.bracket[0] <= exact.bits <= res.bracket[1]
 
     def test_branch_and_bound_dimension_band(self, rng):
         # dims between the enumeration and branch-and-bound limits
