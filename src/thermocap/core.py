@@ -15,8 +15,6 @@ LN2 = math.log(2.0)
 
 #: construction tolerance for normalisation / negativity checks
 SUM_TOL = 1e-9
-#: tolerance used when comparing derived quantities
-COMPARE_TOL = 1e-12
 #: default cap on tensor-product dimensions
 DEFAULT_DIM_CAP = 1 << 20
 
@@ -291,10 +289,6 @@ class ErrorParams:
         if not (0.0 < self.delta <= self.omega < self.eps <= self.WORK_EPS_MAX):
             raise ThermocapError("need 0 < delta <= omega < eps <= 1 - 1/sqrt(2)")
 
-    def require_work(self) -> None:
-        if not (0.0 < self.eps <= self.WORK_EPS_MAX):
-            raise ThermocapError("need 0 < eps <= 1 - 1/sqrt(2)")
-
 
 def trace_distance(p: Distribution, q: Distribution) -> float:
     """L1 distance between two probability vectors (trace norm of the
@@ -308,6 +302,14 @@ def gibbs_state(h: Hamiltonian) -> Distribution:
     """Thermal state exp(-E_j) / Z of the given levels."""
     w = np.exp(-(h.levels - h.levels.min()))
     return Distribution(w / w.sum())
+
+
+def _gibbs_probs(levels: np.ndarray) -> np.ndarray:
+    """The bits of gibbs_state(Hamiltonian(levels)).probs, building neither
+    object: the normalised weights, renormalised once as Distribution does."""
+    w = np.exp(-(levels - levels.min()))
+    probs = w / w.sum()
+    return probs / probs.sum()
 
 
 def maximally_correlated(m: int) -> JointDistribution:

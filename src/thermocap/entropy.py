@@ -209,7 +209,8 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
 
     Outcomes with r == 0 are always included (free), outcomes with q == 0
     and r > 0 never are; the rest are branched in ratio order with the
-    fractional-cover relaxation as the pruning bound.  Returns the best index
+    fractional-cover relaxation as the pruning bound; within a run of
+    identical items only prefixes are branched.  Returns the best index
     set found and None when the search finished, so the set is optimal; when
     the budget ran out first, the root relaxation cost in place of None, a
     lower bound on the r-mass of every feasible set.
@@ -220,6 +221,10 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     base_q = float(np.sum(q[free])) if free.size else 0.0
     qs, rs = q[order], r[order]
     suffix_q = np.concatenate([np.cumsum(qs[::-1])[::-1], [0.0]])
+    # items with identical (q, r) are interchangeable: excluding one skips
+    # the rest of its run, so only prefixes of a run are explored
+    run_ends = np.flatnonzero(np.append((qs[1:] != qs[:-1]) | (rs[1:] != rs[:-1]), True)) + 1
+    skip_to = np.repeat(run_ends, np.diff(run_ends, prepend=0)).tolist()
 
     # the full candidate set is the always-feasible starting incumbent
     if not base_q + suffix_q[0] > threshold:
@@ -246,7 +251,7 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
         if bound > best_cost + 1e-12:
             continue
         # explore inclusion first: drives toward feasible incumbents quickly
-        stack.append((idx + 1, q_acc, r_acc, chosen))
+        stack.append((skip_to[idx], q_acc, r_acc, chosen))
         stack.append((idx + 1, q_acc + qs[idx], r_acc + rs[idx], chosen + [idx]))
 
     indices = tuple(sorted([int(j) for j in free] + [int(order[i]) for i in best_set]))

@@ -22,6 +22,7 @@ from .core import (
     JointDistribution,
     ThermocapError,
     ZeroMarginalError,
+    _gibbs_probs,
     gibbs_state,
 )
 from .entropy import smoothed_renyi0
@@ -45,9 +46,6 @@ class LevelTransformation:
 @dataclass(frozen=True)
 class Thermalisation:
     """Replace the state by the Gibbs state of the current levels; free."""
-
-
-ProcessStep = LevelTransformation | Thermalisation
 
 
 @dataclass(frozen=True)
@@ -123,55 +121,34 @@ class WorkDistribution:
         return rows
 
 
-@dataclass(frozen=True)
-class _Segment:
-    """Run of level transformations sharing one occupancy draw."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    @property
-    def span(self) -> float:
-        return float(self.values.max() - self.values.min())
-
-
 def _segments(proc: WorkProcess, eta: Distribution) -> list:
-    """Split the process at thermalisations; each piece contributes the
-    energy-gap increment of its boundary Hamiltonians under one draw from
-    the occupancy at the piece's start."""
+    """Split the process at thermalisations into (values, probs) increments:
+    each run of level transformations adds the energy gap between its
+    boundary Hamiltonians under one draw from the occupancy at its start.
+    Runs whose gap is zero on every occupied level are dropped."""
     if eta.dim != proc.initial.dim:
         raise DimensionMismatchError("state dimension must match the Hamiltonian")
     segments = []
     occupancy = eta.probs
-    current = proc.initial.levels
-    seg_start = None
-    seg_occ = None
-    for step in proc.steps:
+    start = current = proc.initial.levels
+    # a closing thermalisation ends the last run; it costs no work
+    for step in (*proc.steps, Thermalisation()):
         if isinstance(step, LevelTransformation):
-            if seg_start is None:
-                seg_start = current
-                seg_occ = occupancy
             current = step.new_levels.levels
-        else:
-            if seg_start is not None:
-                segments.append(_make_segment(seg_occ, current - seg_start))
-                seg_start = None
-            occupancy = gibbs_state(Hamiltonian(current)).probs
-    if seg_start is not None:
-        segments.append(_make_segment(seg_occ, current - seg_start))
-    return [s for s in segments if not (s.values.size == 1 and s.values[0] == 0.0)]
+            continue
+        values, inverse = np.unique(current - start, return_inverse=True)
+        probs = np.bincount(inverse, weights=occupancy, minlength=values.size)
+        keep = probs > 0.0
+        values, probs = values[keep], probs[keep]
+        if values.size > 1 or values[0] != 0.0:
+            segments.append((values, probs))
+        occupancy, start = _gibbs_probs(current), current
+    return segments
 
 
-def _make_segment(occupancy: np.ndarray, increments: np.ndarray) -> _Segment:
-    values, inverse = np.unique(increments, return_inverse=True)
-    probs = np.bincount(inverse, weights=occupancy, minlength=values.size)
-    keep = probs > 0.0
-    return _Segment(values=values[keep], probs=probs[keep])
-
-
-def _convolve_exact(values, probs, seg: _Segment):
-    vv = (values[:, None] + seg.values[None, :]).ravel()
-    pp = (probs[:, None] * seg.probs[None, :]).ravel()
+def _convolve_exact(values, probs, seg_values, seg_probs):
+    vv = (values[:, None] + seg_values[None, :]).ravel()
+    pp = (probs[:, None] * seg_probs[None, :]).ravel()
     out_values, inverse = np.unique(vv, return_inverse=True)
     out_probs = np.bincount(inverse, weights=pp, minlength=out_values.size)
     keep = out_probs > _PRUNE_TOL
@@ -207,39 +184,33 @@ def work_distribution(
     the convolution continues exactly on the grid.  If even the grid window
     explodes, a seeded Monte-Carlo histogram is returned instead.
     """
-    segments = sorted(_segments(proc, eta), key=lambda s: s.span)
-    if not segments:
-        return WorkDistribution(values=np.zeros(1), probs=np.ones(1), mode="exact")
+    if resolution is not None and not 0.0 < resolution < math.inf:
+        raise ThermocapError("resolution must be finite and positive")
+    res = resolution if resolution is not None else 1e-3
+    segments = sorted(_segments(proc, eta), key=lambda s: np.ptp(s[0]))
 
     values = np.zeros(1)
     probs = np.ones(1)
-    res = resolution if resolution is not None else 1e-3
-    mode = "exact"
-    offset = 0
-    dense: np.ndarray | None = None
+    for n_exact, (seg_values, seg_probs) in enumerate(segments):
+        if values.size * seg_values.size > atom_budget:
+            break
+        values, probs = _convolve_exact(values, probs, seg_values, seg_probs)
+    else:
+        return WorkDistribution(values=values, probs=probs, mode="exact")
 
-    for i, seg in enumerate(segments):
-        if mode == "exact":
-            if values.size * seg.values.size > atom_budget:
-                mode = "binned"
-                idx = np.round(values / res).astype(np.int64)
-                offset = int(idx.min())
-                dense = np.zeros(int(idx.max()) - offset + 1)
-                np.add.at(dense, idx - offset, probs)
-            else:
-                values, probs = _convolve_exact(values, probs, seg)
-                continue
-        shifts = np.round(seg.values / res).astype(np.int64)
+    idx = np.round(values / res).astype(np.int64)
+    offset = int(idx.min())
+    dense = np.zeros(int(idx.max()) - offset + 1)
+    np.add.at(dense, idx - offset, probs)
+    for seg_values, seg_probs in segments[n_exact:]:
+        shifts = np.round(seg_values / res).astype(np.int64)
         if dense.size + int(shifts.max() - shifts.min()) > _DENSE_CAP:
             if mc_trajectories < 1:
                 raise AtomBudgetExceededError(
                     "grid convolution outgrew the cap and Monte-Carlo is disabled"
                 )
             return _monte_carlo_distribution(segments, res, mc_trajectories, seed)
-        offset, dense = _dense_convolve(offset, dense, shifts, seg.probs)
-
-    if mode == "exact":
-        return WorkDistribution(values=values, probs=probs, mode="exact")
+        offset, dense = _dense_convolve(offset, dense, shifts, seg_probs)
     keep = dense > 0.0
     grid = (offset + np.flatnonzero(keep)) * res
     return WorkDistribution(values=grid, probs=dense[keep], mode="binned", resolution=res)
@@ -248,9 +219,9 @@ def work_distribution(
 def _monte_carlo_distribution(segments, res, n, seed):
     rng = np.random.default_rng(seed)
     totals = np.zeros(n)
-    for seg in segments:
-        draws = rng.choice(seg.values.size, size=n, p=seg.probs / seg.probs.sum())
-        totals += seg.values[draws]
+    for seg_values, seg_probs in segments:
+        draws = rng.choice(seg_values.size, size=n, p=seg_probs / seg_probs.sum())
+        totals += seg_values[draws]
     idx = np.round(totals / res).astype(np.int64)
     uniq, counts = np.unique(idx, return_counts=True)
     dkw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
@@ -265,18 +236,28 @@ def _monte_carlo_distribution(segments, res, n, seed):
     )
 
 
-def eps_delta_work(wd: WorkDistribution, eps: float, delta: float = 0.0) -> float:
-    """Largest work level w such that the work gain lands within delta of w
-    with probability exceeding 1 - eps; -inf when no level qualifies."""
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta < math.inf:
+        raise ThermocapError("delta must be finite and nonnegative")
+
+
+def _gain_cdf(wd: WorkDistribution, eps: float):
+    """Gains in ascending order, their probabilities, the cumulative mass
+    (led by 0) and the mass a qualifying window must exceed."""
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
-    if delta < 0.0:
-        raise ThermocapError("delta must be nonnegative")
     order = np.argsort(-wd.values)
     gains = -wd.values[order]
     probs = wd.probs[order]
     cum = np.concatenate([[0.0], np.cumsum(probs)])
-    need = (1.0 - eps) - 1e-12
+    return gains, probs, cum, (1.0 - eps) - 1e-12
+
+
+def eps_delta_work(wd: WorkDistribution, eps: float, delta: float = 0.0) -> float:
+    """Largest work level w such that the work gain lands within delta of w
+    with probability exceeding 1 - eps; -inf when no level qualifies."""
+    gains, _, cum, need = _gain_cdf(wd, eps)
+    _check_delta(delta)
 
     # the supremum over qualifying centers is attained with the window's left
     # edge exactly on an atom; closed windows are padded by 1e-12 so edge
@@ -297,29 +278,26 @@ def shortest_confidence_interval(wd: WorkDistribution, eps: float):
     qualifying under the (eps, delta) criterion at delta = its largest
     distance to the interval's edges, since its window covers the interval.
     """
-    if not 0.0 < eps < 1.0:
-        raise ThermocapError("eps must lie in (0, 1)")
-    order = np.argsort(-wd.values)
-    gains = -wd.values[order]
-    probs = wd.probs[order]
-    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    gains, probs, cum, need = _gain_cdf(wd, eps)
     weighted = np.concatenate([[0.0], np.cumsum(gains * probs)])
-    need = (1.0 - eps) - 1e-12
 
-    best = None
-    j = 0
-    for i in range(gains.size):
-        j = max(j, i)
-        while j < gains.size and cum[j + 1] - cum[i] <= need:
-            j += 1
-        if j == gains.size:
-            break
-        width = gains[j] - gains[i]
-        if best is None or width < best[0]:
-            best = (width, i, j)
-    if best is None:
+    # window [i, j] qualifies when cum[j + 1] - cum[i] > need.  Rounding is
+    # monotone, so for each i the qualifying cum[j + 1] are the floats from
+    # the least one passing that test, `reach`.  No float below the rounded
+    # sum cum[i] + need passes, so reach is that sum stepped up one ulp at a
+    # time until it passes, and the window is the one the test picks.
+    start = cum[:-1]
+    reach = start + need
+    while (short := ~(reach - start > need)).any():
+        reach[short] = np.nextafter(reach[short], math.inf)
+    ends = np.maximum(np.searchsorted(cum, reach, side="left") - 1, np.arange(gains.size))
+    starts = np.flatnonzero(ends < gains.size)
+    if starts.size == 0:
         raise ThermocapError("no finite window captures the required mass")
-    _, i, j = best
+    ends = ends[starts]
+    # the first of equally short windows, as a scan from the left finds it
+    best = int(np.argmin(gains[ends] - gains[starts]))
+    i, j = starts[best], ends[best]
     mean = (weighted[j + 1] - weighted[i]) / (cum[j + 1] - cum[i])
     return float(gains[i]), float(gains[j]), float(mean)
 
@@ -444,6 +422,8 @@ def extractable_work(
     work level, together with the delta it realises (its largest distance
     to the interval's edges).  The analytic bracket travels in the result.
     """
+    if delta is not None:
+        _check_delta(delta)
     proc, d0 = extraction_protocol(eta, h, eps, e_cut=e_cut, k_steps=k_steps, schedule=schedule)
     resolution = min(delta / 10.0, 1e-3) if delta else 1e-4
     wd = work_distribution(

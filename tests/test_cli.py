@@ -117,6 +117,15 @@ class TestWorkCommands:
         result = json.loads(out)["result"]
         assert abs(result["value_kT"] - math.log(2)) < 0.1
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
+    def test_bad_delta_is_an_error(self, capsys, files, delta):
+        for argv in (["workext", "--state", files["state2"], "--hamiltonian", files["ham2"]],
+                     ["wcorr", "--joint", files["phi2"]]):
+            code, out, err = _run(capsys, argv + ["--eps", "0.15", "--delta", delta])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_wcorr_with_temperature(self, capsys, files):
         code, out, _ = _run(capsys, ["--temperature", "2.0", "wcorr", "--joint", files["phi2"],
                                      "--eps", "0.05"])

@@ -16,7 +16,7 @@ from thermocap import (
     tensor_power_channel,
     trace_distance,
 )
-from thermocap.core import DimensionMismatchError, DimensionTooLargeError
+from thermocap.core import DimensionMismatchError, DimensionTooLargeError, _gibbs_probs
 
 from conftest import random_channel, random_distribution
 
@@ -107,6 +107,13 @@ class TestGibbsState:
             g1 = gibbs_state(Hamiltonian(levels))
             g2 = gibbs_state(Hamiltonian(levels + shift))
             assert np.abs(g1.probs - g2.probs).max() < 1e-12
+
+    def test_raw_helper_matches_validated_state(self, rng):
+        # the work pipeline's object-free occupancy must carry the same bits
+        for _ in range(200):
+            levels = rng.normal(scale=float(rng.uniform(0.1, 30.0)), size=int(rng.integers(1, 40)))
+            levels[rng.random(levels.size) < 0.2] = 50.0
+            assert _gibbs_probs(levels).tobytes() == gibbs_state(Hamiltonian(levels)).probs.tobytes()
 
 
 class TestMaximallyCorrelated:

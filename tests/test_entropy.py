@@ -164,16 +164,17 @@ class TestSmoothedRenyi0:
             r[rng.random(dim) < 0.3] = 0.0
             assert np.array_equal(entropy._ratio_order(q, r), loop_order(q, r))
 
-    def test_uniform_ties_bracket_the_analytic_value(self):
-        # all ratios tie, so no bound prunes and the search runs out of nodes;
-        # 58 of 64 equal outcomes are the fewest with mass above 0.9
-        u = Distribution(np.full(64, 1 / 64))
-        res = smoothed_renyi0(u, u, 0.1)
-        assert res.method == "node_budget_bracket"
-        assert not res.exact
-        lo, hi = res.bracket
-        assert lo == res.bits
-        assert lo - 1e-12 <= math.log2(64 / 58) <= hi + 1e-12
+    def test_uniform_ties_are_exact(self):
+        # all items are identical, so only prefixes are branched and the
+        # first feasible leaf ends the search; k of d equal outcomes are the
+        # fewest with mass above 0.9
+        for d, k in ((64, 58), (256, 231)):
+            u = Distribution(np.full(d, 1 / d))
+            res = smoothed_renyi0(u, u, 0.1)
+            assert res.method == "branch_and_bound"
+            assert len(res.witness.indices) == k
+            assert res.bracket == (res.bits, res.bits)
+            assert abs(res.bits - math.log2(d / k)) <= 1e-12
 
     def test_node_budget_bracket_contains_exact_value(self, monkeypatch):
         rng = np.random.default_rng(2)

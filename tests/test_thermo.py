@@ -20,7 +20,8 @@ from thermocap import (
     work_distribution,
     work_from_correlation,
 )
-from thermocap.core import LN2, ThermocapError, ZeroMarginalError
+from thermocap import thermo
+from thermocap.core import LN2, AtomBudgetExceededError, ThermocapError, ZeroMarginalError
 from thermocap.thermo import WorkDistribution, restrict_support, shortest_confidence_interval
 
 from conftest import random_distribution
@@ -28,6 +29,18 @@ from conftest import random_distribution
 
 def _quench(levels):
     return LevelTransformation(Hamiltonian(levels))
+
+
+def _random_quench_process():
+    """Twelve seeded random quenches on three levels, each thermalised: far
+    more work atoms than small budgets admit."""
+    rng = np.random.default_rng(5)
+    steps = []
+    for _ in range(12):
+        steps += [_quench(rng.normal(size=3)), Thermalisation()]
+    steps += [_quench([0.0, 0.0, 0.0])]
+    proc = WorkProcess(initial=Hamiltonian([0.0, 0.0, 0.0]), steps=tuple(steps))
+    return proc, Distribution([0.5, 0.3, 0.2])
 
 
 class TestWorkDistribution:
@@ -112,22 +125,38 @@ class TestWorkDistribution:
         assert len(rows) == wd.values.size + 1
 
     def test_monte_carlo_fallback_is_seeded(self):
-        h = Hamiltonian([0.0, 0.0, 0.0])
-        steps = []
-        rng = np.random.default_rng(5)
-        current = np.zeros(3)
-        for _ in range(12):
-            nxt = rng.normal(size=3)
-            steps += [_quench(nxt), Thermalisation()]
-            current = nxt
-        steps += [_quench([0.0, 0.0, 0.0])]
-        proc = WorkProcess(initial=h, steps=tuple(steps))
-        eta = Distribution([0.5, 0.3, 0.2])
+        proc, eta = _random_quench_process()
         wd1 = work_distribution(proc, eta, atom_budget=50, mc_trajectories=2000, seed=3)
         wd2 = work_distribution(proc, eta, atom_budget=50, mc_trajectories=2000, seed=3)
         assert wd1.mode in ("binned", "monte_carlo")
         assert wd1.values.tolist() == wd2.values.tolist()
         assert wd1.probs.tolist() == wd2.probs.tolist()
+
+    def test_monte_carlo_branch(self, monkeypatch):
+        # a grid cap this small sends the binned convolution to Monte-Carlo
+        monkeypatch.setattr(thermo, "_DENSE_CAP", 100)
+        proc, eta = _random_quench_process()
+        n = 2000
+        wd = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=3)
+        assert wd.mode == "monte_carlo"
+        again = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=3)
+        assert wd.values.tolist() == again.values.tolist()
+        assert wd.probs.tolist() == again.probs.tolist()
+        other = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=4)
+        assert wd.probs.tolist() != other.probs.tolist()
+        assert wd.cdf_error == math.sqrt(math.log(200.0) / (2 * n))
+        payload = wd.to_dict()
+        assert payload["n_samples"] == n
+        assert payload["seed"] == 3
+        assert payload["cdf_error_99"] == wd.cdf_error
+        with pytest.raises(AtomBudgetExceededError):
+            work_distribution(proc, eta, atom_budget=50, mc_trajectories=0)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        proc, eta = _random_quench_process()
+        with pytest.raises(ThermocapError):
+            work_distribution(proc, eta, atom_budget=50, resolution=resolution)
 
 
 class TestEpsDeltaWork:
@@ -159,6 +188,22 @@ class TestEpsDeltaWork:
             v1 = eps_delta_work(wd, 0.1, delta)
             v2 = eps_delta_work(wd, 0.2, delta)
             assert v2 >= v1 - 1e-12
+
+
+class TestWorkInputs:
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
+    def test_bad_delta_rejected_before_the_protocol(self, monkeypatch, delta):
+        def never(*args, **kwargs):
+            raise AssertionError("protocol built for an invalid delta")
+
+        monkeypatch.setattr(thermo, "extraction_protocol", never)
+        with pytest.raises(ThermocapError):
+            extractable_work(Distribution([0.9, 0.1]), Hamiltonian([0.0, 0.0]), 0.15, delta)
+        with pytest.raises(ThermocapError):
+            work_from_correlation(maximally_correlated(2), 0.15, delta)
+        wd = WorkDistribution(values=np.array([-1.0]), probs=np.array([1.0]), mode="exact")
+        with pytest.raises(ThermocapError):
+            eps_delta_work(wd, 0.15, delta)
 
 
 class TestExtractionProtocol:
@@ -301,3 +346,57 @@ def test_shortest_interval_feeds_eps_delta_work():
         # no narrower window can qualify anywhere
         if half > 1e-9:
             assert eps_delta_work(wd, eps, half * 0.45) == -math.inf
+
+
+def _loop_interval(wd, eps):
+    """The two-pointer scan the vectorised window search replaced, kept as
+    its reference; None where it finds no window."""
+    order = np.argsort(-wd.values)
+    gains = -wd.values[order]
+    probs = wd.probs[order]
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    weighted = np.concatenate([[0.0], np.cumsum(gains * probs)])
+    need = (1.0 - eps) - 1e-12
+    best = None
+    j = 0
+    for i in range(gains.size):
+        j = max(j, i)
+        while j < gains.size and cum[j + 1] - cum[i] <= need:
+            j += 1
+        if j == gains.size:
+            break
+        width = gains[j] - gains[i]
+        if best is None or width < best[0]:
+            best = (width, i, j)
+    if best is None:
+        return None
+    _, i, j = best
+    mean = (weighted[j + 1] - weighted[i]) / (cum[j + 1] - cum[i])
+    return float(gains[i]), float(gains[j]), float(mean)
+
+
+def test_shortest_interval_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    for case in range(3000):
+        n = int(rng.integers(1, 60))
+        # repeated values, equal masses and atoms of 1e-17 stress ties and
+        # cumulative sums that stall or round
+        values = rng.integers(-6, 6, size=n) * 0.25 if case % 3 == 0 else rng.normal(size=n)
+        probs = np.full(n, 1.0 / n) if case % 5 == 0 else rng.dirichlet(np.full(n, 0.3))
+        probs[rng.random(n) < 0.3] = 1e-17
+        wd = WorkDistribution(values=values, probs=probs / probs.sum(), mode="exact")
+        if case % 2:
+            # put the required mass on an attainable window mass, to the ulp
+            cum = np.concatenate([[0.0], np.cumsum(wd.probs[::-1])])
+            i, j = np.sort(rng.integers(0, n + 1, size=2))
+            eps = 1.0 - 1e-12 - float(cum[j] - cum[i]) + float(rng.integers(-2, 3)) * 2.0**-53
+        else:
+            eps = float(rng.uniform(0.005, 0.95))
+        if not 0.0 < eps < 1.0:
+            continue
+        want = _loop_interval(wd, eps)
+        if want is None:
+            with pytest.raises(ThermocapError):
+                shortest_confidence_interval(wd, eps)
+        else:
+            assert shortest_confidence_interval(wd, eps) == want
