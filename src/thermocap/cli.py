@@ -315,7 +315,7 @@ def _run_bounds(args):
         report = equilibrium_capacity_bounds(ch, args.eps, args.theta)
     else:
         _require(args, ["omega", "delta"])
-        ep = ErrorParams(eps=args.eps, omega=args.omega, delta=args.delta, theta=args.theta)
+        ep = ErrorParams(eps=args.eps, omega=args.omega, delta=args.delta)
         if args.which == "thm2":
             report = capacity_entropic_bounds(ch, ep, seed=args.seed)
         else:
@@ -385,13 +385,7 @@ def main(argv=None) -> int:
         params, result = _RUNNERS[args.command](args)
         report = _report(command, params, result, args.seed)
         _emit(report, args.format, args.out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ThermocapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ThermocapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     verdict = result.get("verdict")

@@ -273,7 +273,6 @@ class ErrorParams:
     eps: float
     omega: float | None = None
     delta: float | None = None
-    theta: float | None = None
 
     WORK_EPS_MAX = 1.0 - 1.0 / math.sqrt(2.0)
 

@@ -7,6 +7,7 @@ linear program solved greedily.  All values are in bits.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,7 +117,8 @@ def _subset_value(r: np.ndarray, indices) -> float:
 def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     """Exact minimum r-mass over subsets with q-mass above threshold.
 
-    Meet-in-the-middle: subset masses of each half combine by outer sums.
+    Builds all 2^d subset masses at once: the masses of each half's subsets
+    combine into a 2^lo x 2^hi outer-sum table, which is searched whole.
     """
     d = q.size
     lo = d // 2
@@ -157,6 +159,28 @@ def _ratio_order(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(q.size), ratio, group))
 
 
+def _greedy_cover(cum, mass, start, need):
+    """Fractional-knapsack greedy over items start, start + 1, ... of `mass`
+    until they cover `need`; cum = [0, *np.cumsum(mass)] is bit for bit the
+    sequential greedy's covered mass before each item.  Returns (k, frac):
+    items start..k-1 whole and item k at fraction frac, which is 0.0 when
+    the cover completes before item k or the items run out (k = len(mass))."""
+    goal = cum[start] + need
+    # items whose running sum stays clearly short of the goal are whole
+    first = max(start, bisect.bisect_left(cum, goal - 1e-13) - 1)
+    for k in range(first, len(mass)):
+        left = goal - cum[k]
+        if left <= 1e-15:
+            return k, 0.0
+        if mass[k] > left:
+            return k, left / mass[k]
+    return len(mass), 0.0
+
+
+def _running_sum(mass):
+    return np.concatenate(([0.0], np.cumsum(mass)))
+
+
 def hypothesis_testing_entropy(p: Distribution, q: Distribution, eps: float):
     """Optimal hypothesis-testing entropy for commuting states.
 
@@ -168,40 +192,16 @@ def hypothesis_testing_entropy(p: Distribution, q: Distribution, eps: float):
         raise DimensionMismatchError("distributions must share a dimension")
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
-    qv, rv = p.probs, q.probs
-    order = _ratio_order(qv, rv)
-    target = 1.0 - eps
+    order = _ratio_order(p.probs, q.probs)
+    qs, rs = p.probs[order], q.probs[order]
+    k, frac = _greedy_cover(_running_sum(qs), qs, 0, 1.0 - eps)
     weights = np.zeros(p.dim)
-    cost = 0.0
-    covered = 0.0
-    for j in order:
-        need = target - covered
-        if need <= 1e-15:
-            break
-        if qv[j] == 0.0 or qv[j] <= need:
-            weights[j] = 1.0
-            covered += qv[j]
-            cost += rv[j]
-        else:
-            frac = need / qv[j]
-            weights[j] = frac
-            covered += need
-            cost += frac * rv[j]
+    weights[order[:k]] = 1.0
+    cost = _running_sum(rs)[k]
+    if frac:
+        weights[order[k]] = frac
+        cost += frac * rs[k]
     return _bits(cost), FractionalTest(weights=weights)
-
-
-def _fractional_cover_cost(q_sorted, r_sorted, start, need):
-    """Cheapest r-cost to cover q-mass `need` using items from `start` on
-    (already in ratio order); relaxation used as the branch-and-bound bound."""
-    cost = 0.0
-    for j in range(start, q_sorted.size):
-        if need <= 1e-15:
-            return cost
-        if q_sorted[j] >= need:
-            return cost + (need / q_sorted[j]) * r_sorted[j]
-        cost += r_sorted[j]
-        need -= q_sorted[j]
-    return cost if need <= 1e-15 else math.inf
 
 
 def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
@@ -231,6 +231,14 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
         raise ThermocapError("no feasible index set (eps <= 0?)")
     best_cost = float(np.sum(rs))
     best_set = list(range(order.size))
+    qs_list, rs_list = qs.tolist(), rs.tolist()
+    cum_q, cum_r = _running_sum(qs).tolist(), _running_sum(rs).tolist()
+
+    def relaxation(start, need):
+        """Fractional-cover cost of `need` more q-mass from item `start` on;
+        the items left must be able to cover it (checked before each call)."""
+        k, frac = _greedy_cover(cum_q, qs_list, start, need)
+        return cum_r[k] - cum_r[start] + (frac * rs_list[k] if frac else 0.0)
 
     stack = [(0, 0.0, 0.0, [])]
     nodes = 0
@@ -247,7 +255,7 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
         if base_q + q_acc + suffix_q[idx] <= threshold:
             continue  # cannot become feasible
         need = threshold - (base_q + q_acc)
-        bound = r_acc + _fractional_cover_cost(qs, rs, idx, need)
+        bound = r_acc + relaxation(idx, need)
         if bound > best_cost + 1e-12:
             continue
         # explore inclusion first: drives toward feasible incumbents quickly
@@ -257,7 +265,7 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     indices = tuple(sorted([int(j) for j in free] + [int(order[i]) for i in best_set]))
     if not stack:
         return indices, None
-    return indices, _fractional_cover_cost(qs, rs, 0, threshold - base_q)
+    return indices, relaxation(0, threshold - base_q)
 
 
 def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Result:
@@ -316,32 +324,23 @@ def hypothesis_testing_entropy_iid_binary(
     k = np.arange(n + 1)
     log_pmass = binom.logpmf(k, n, p1)
     log_rmass = binom.logpmf(k, n, q1)
-    pmass = np.exp(log_pmass)
 
-    # per-string log likelihood ratio of reference to state, class k;
-    # guard the k = 0 / k = n ends against 0 * inf
+    # per-string log likelihood ratio of reference to state, class k, from
+    # the symbols the class holds; classes p gives no mass go last
     with np.errstate(divide="ignore"):
-        lr_one = np.log(q1) - np.log(p1)
-        lr_zero = np.log(1.0 - q1) - np.log(1.0 - p1)
-    log_ratio = np.where(k > 0, k * lr_one, 0.0) + np.where(k < n, (n - k) * lr_zero, 0.0)
+        lr_one = np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0
+        lr_zero = np.log(1.0 - q1) - np.log(1.0 - p1) if p1 < 1.0 else 0.0
+    log_ratio = k * lr_one
+    log_ratio[:n] += (n - k[:n]) * lr_zero
+    log_ratio[np.isneginf(log_pmass)] = np.inf
     order = np.lexsort((k, log_ratio))
 
-    target = 1.0 - eps
-    covered = 0.0
-    log_cost_terms = []
-    for j in order:
-        need = target - covered
-        if need <= 1e-15:
-            break
-        if pmass[j] <= need:
-            covered += pmass[j]
-            log_cost_terms.append(log_rmass[j])
-        else:
-            frac = need / pmass[j]
-            covered += need
-            if frac > 0.0:
-                log_cost_terms.append(math.log(frac) + log_rmass[j])
-    terms = np.array([t for t in log_cost_terms if np.isfinite(t)])
+    pmass = np.exp(log_pmass)[order]
+    cut, frac = _greedy_cover(_running_sum(pmass), pmass, 0, 1.0 - eps)
+    terms = log_rmass[order[:cut]]
+    if frac > 0.0:
+        terms = np.append(terms, math.log(frac) + log_rmass[order[cut]])
+    terms = terms[np.isfinite(terms)]
     if terms.size == 0:
         return math.inf
     log_cost = float(terms.max() + np.log(np.sum(np.exp(terms - terms.max()))))

@@ -386,9 +386,12 @@ class WorkExtractionResult:
     distribution_mode: str
     witness_indices: tuple
     window: tuple | None = None
+    #: Monte-Carlo sample count and DKW 99% sup-CDF error, in that mode only
+    n_samples: int | None = None
+    cdf_error: float | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "value_kT": self.value,
             "delta_kT": self.delta,
             "eps": self.eps,
@@ -400,6 +403,9 @@ class WorkExtractionResult:
             "witness_indices": list(self.witness_indices),
             "window_kT": list(self.window) if self.window is not None else None,
         }
+        if self.distribution_mode == "monte_carlo":
+            out.update(n_samples=self.n_samples, cdf_error_99=self.cdf_error)
+        return out
 
 
 def extractable_work(
@@ -453,6 +459,8 @@ def extractable_work(
         distribution_mode=wd.mode,
         witness_indices=d0.witness.indices,
         window=window,
+        n_samples=wd.n_samples,
+        cdf_error=wd.cdf_error,
     )
 
 
@@ -483,9 +491,12 @@ class WorkCorrelationResult:
     support_a: tuple
     support_b: tuple
     distribution_mode: str
+    #: Monte-Carlo sample count and DKW 99% sup-CDF error, in that mode only
+    n_samples: int | None = None
+    cdf_error: float | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "value_kT": self.value,
             "delta_kT": self.delta,
             "eps": self.eps,
@@ -495,6 +506,9 @@ class WorkCorrelationResult:
             "support_b": list(self.support_b),
             "distribution_mode": self.distribution_mode,
         }
+        if self.distribution_mode == "monte_carlo":
+            out.update(n_samples=self.n_samples, cdf_error_99=self.cdf_error)
+        return out
 
 
 def work_from_correlation(
@@ -538,4 +552,6 @@ def work_from_correlation(
         support_a=tuple(int(i) for i in keep_a),
         support_b=tuple(int(i) for i in keep_b),
         distribution_mode=res.distribution_mode,
+        n_samples=res.n_samples,
+        cdf_error=res.cdf_error,
     )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from thermocap import (
     Distribution,
@@ -268,9 +269,184 @@ class TestTypeClasses:
             val = hypothesis_testing_entropy_iid_binary(p, p, 0.01, n)
             assert abs(val - (-math.log2(0.99))) < 1e-9
 
+    @pytest.mark.parametrize(
+        "p, q", [([1, 0], [1, 0]), ([0, 1], [0, 1]), ([1, 0], [0.5, 0.5]), ([0, 1], [0.3, 0.7])]
+    )
+    def test_degenerate_laws_match_tensor_powers(self, p, q):
+        # a symbol p never emits leaves whole type classes without mass;
+        # their log-ratios are never formed, so no invalid-value warning
+        p, q = Distribution(p), Distribution(q)
+        for eps in (0.05, 0.3, 0.9):
+            fast = hypothesis_testing_entropy_iid_binary(p, q, eps, 10)
+            slow, _ = hypothesis_testing_entropy(tensor_power(p, 10), tensor_power(q, 10), eps)
+            assert fast == pytest.approx(slow, abs=1e-12)
+
     def test_stein_convergence_direction(self):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
         target = relative_entropy(p, q)
         dev20 = abs(hypothesis_testing_entropy_iid_binary(p, q, 0.01, 20) / 20 - target)
         dev200 = abs(hypothesis_testing_entropy_iid_binary(p, q, 0.01, 200) / 200 - target)
         assert dev200 < dev20
+
+
+# The sequential greedy loops that the shared cover helper replaced, kept
+# verbatim as references: the helper must reproduce them bit for bit.
+def loop_hypothesis_testing(p, q, eps):
+    qv, rv = p.probs, q.probs
+    order = entropy._ratio_order(qv, rv)
+    target = 1.0 - eps
+    weights = np.zeros(p.dim)
+    cost = 0.0
+    covered = 0.0
+    for j in order:
+        need = target - covered
+        if need <= 1e-15:
+            break
+        if qv[j] == 0.0 or qv[j] <= need:
+            weights[j] = 1.0
+            covered += qv[j]
+            cost += rv[j]
+        else:
+            frac = need / qv[j]
+            weights[j] = frac
+            covered += need
+            cost += frac * rv[j]
+    return entropy._bits(cost), weights
+
+
+def loop_iid_binary(p, q, eps, n):
+    p1, q1 = float(p.probs[1]), float(q.probs[1])
+    k = np.arange(n + 1)
+    log_pmass = binom.logpmf(k, n, p1)
+    log_rmass = binom.logpmf(k, n, q1)
+    pmass = np.exp(log_pmass)
+    with np.errstate(divide="ignore"):
+        lr_one = np.log(q1) - np.log(p1)
+        lr_zero = np.log(1.0 - q1) - np.log(1.0 - p1)
+    log_ratio = np.where(k > 0, k * lr_one, 0.0) + np.where(k < n, (n - k) * lr_zero, 0.0)
+    order = np.lexsort((k, log_ratio))
+
+    target = 1.0 - eps
+    covered = 0.0
+    log_cost_terms = []
+    for j in order:
+        need = target - covered
+        if need <= 1e-15:
+            break
+        if pmass[j] <= need:
+            covered += pmass[j]
+            log_cost_terms.append(log_rmass[j])
+        else:
+            frac = need / pmass[j]
+            covered += need
+            if frac > 0.0:
+                log_cost_terms.append(math.log(frac) + log_rmass[j])
+    terms = np.array([t for t in log_cost_terms if np.isfinite(t)])
+    if terms.size == 0:
+        return math.inf
+    log_cost = float(terms.max() + np.log(np.sum(np.exp(terms - terms.max()))))
+    return -log_cost / math.log(2.0)
+
+
+def loop_cover_cost(q_sorted, r_sorted, start, need):
+    cost = 0.0
+    for j in range(start, q_sorted.size):
+        if need <= 1e-15:
+            return cost
+        if q_sorted[j] >= need:
+            return cost + (need / q_sorted[j]) * r_sorted[j]
+        cost += r_sorted[j]
+        need -= q_sorted[j]
+    return cost if need <= 1e-15 else math.inf
+
+
+def _branched_items(q, r):
+    """Positive items in ratio order, as the branch-and-bound branches them."""
+    order = entropy._ratio_order(q, r)
+    order = order[(q[order] > 0.0) & (r[order] > 0.0)]
+    return q[order], r[order]
+
+
+class TestGreedyCover:
+    def test_hypothesis_testing_matches_loop_reference(self, rng):
+        def cases():
+            for _ in range(600):
+                d = int(rng.choice([1, 2, 3, 5, 16, 64, 256, 1024]))
+                p = rng.dirichlet(np.ones(d) * rng.choice([0.2, 1.0, 5.0]))
+                q = p.copy() if rng.random() < 0.25 else rng.dirichlet(np.ones(d))
+                p[rng.random(d) < 0.2 * (rng.random() < 0.5)] = 0.0
+                q[rng.random(d) < 0.2 * (rng.random() < 0.5)] = 0.0
+                # masses far below the cover tolerance
+                if rng.random() < 0.2:
+                    p[rng.random(d) < 0.3] = 1e-17
+                if p.sum() > 0.0 and q.sum() > 0.0:
+                    yield p / p.sum(), q / q.sum(), float(rng.uniform(0.001, 0.999))
+            # equal masses put running sums on the goal itself
+            for d in (2, 3, 7, 10, 64, 100, 1000, 1024):
+                u = np.full(d, 1.0 / d)
+                for j in range(1, d, 1 + d // 60):
+                    yield u, u, j / d
+                    yield u, rng.dirichlet(np.ones(d)), j / d
+            # a tiny item after each equal one: the running sum can end an
+            # equal item just under the goal, where the cover is complete
+            for m in (10, 64, 100):
+                v = np.zeros(2 * m)
+                v[::2], v[1::2] = 1.0 / m, 1e-17
+                for j in range(1, m):
+                    yield v, v, j / m
+
+        count = 0
+        for p, q, eps in cases():
+            p, q = Distribution(p), Distribution(q)
+            bits, test = hypothesis_testing_entropy(p, q, eps)
+            ref_bits, ref_weights = loop_hypothesis_testing(p, q, eps)
+            assert bits == ref_bits
+            assert np.array_equal(test.weights, ref_weights)
+            count += 1
+        assert count > 1000
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 200, 1000, 10_000])
+    def test_iid_binary_matches_loop_reference(self, rng, n):
+        for _ in range(25):
+            p1, q1 = rng.uniform(0.01, 0.99, size=2)
+            if rng.random() < 0.2:
+                q1 = p1
+            p, q = Distribution([1 - p1, p1]), Distribution([1 - q1, q1])
+            eps = float(rng.uniform(0.001, 0.999))
+            assert hypothesis_testing_entropy_iid_binary(p, q, eps, n) == loop_iid_binary(
+                p, q, eps, n
+            )
+
+    def test_bound_matches_loop_reference(self, rng):
+        # prefix differences and the loop's running subtraction round apart
+        # by a few ulps per summed item, scaled by r/q of the fractional item
+        ulp = np.finfo(float).eps
+        for _ in range(60):
+            d = int(rng.choice([2, 5, 24, 64, 256]))
+            q = rng.dirichlet(np.ones(d) * rng.choice([0.3, 1.0, 5.0]))
+            r = q.copy() if rng.random() < 0.3 else rng.dirichlet(np.ones(d))
+            qs, rs = _branched_items(q, r * np.exp(1e-3 * rng.standard_normal(d)))
+            cum_q, cum_r = entropy._running_sum(qs), entropy._running_sum(rs)
+            suffix = np.concatenate([np.cumsum(qs[::-1])[::-1], [0.0]])
+            for start in range(qs.size):
+                # the branch-and-bound only asks for what the items can cover
+                for need in (0.0, 1e-16, suffix[start] * rng.random(), suffix[start] * 0.999):
+                    # the cost as the branch-and-bound's relaxation forms it
+                    k, frac = entropy._greedy_cover(cum_q, qs, start, need)
+                    bound = cum_r[k] - cum_r[start] + (frac * rs[k] if frac else 0.0)
+                    last = min(k + 1, qs.size - 1)
+                    tol = 4 * ulp * (k + 2) * (1.0 + rs[last] / qs[last])
+                    assert abs(bound - loop_cover_cost(qs, rs, start, need)) <= tol
+
+    def test_root_bound_matches_loop_reference(self, rng, monkeypatch):
+        # with no nodes to spend the search returns the root relaxation
+        monkeypatch.setattr(entropy, "NODE_BUDGET", 0)
+        ulp = np.finfo(float).eps
+        for _ in range(100):
+            d = int(rng.choice([24, 64, 256]))
+            p, q = random_distribution(rng, d), random_distribution(rng, d)
+            threshold = entropy._feasibility_threshold(float(rng.uniform(0.01, 0.9)))
+            _, root = entropy._branch_and_bound_subset(p.probs, q.probs, threshold)
+            qs, rs = _branched_items(p.probs, q.probs)
+            ref = loop_cover_cost(qs, rs, 0, threshold)
+            assert abs(root - ref) <= 4 * ulp * (d + 1) * (1.0 + float(np.max(rs / qs)))

@@ -152,6 +152,34 @@ class TestWorkDistribution:
         with pytest.raises(AtomBudgetExceededError):
             work_distribution(proc, eta, atom_budget=50, mc_trajectories=0)
 
+    def test_monte_carlo_results_carry_the_dkw_band(self, monkeypatch):
+        eta = Distribution([0.6, 0.3, 0.1])
+        h = Hamiltonian([0.0, 0.7, 1.5])
+        joint = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        keys = ["value_kT", "delta_kT", "eps", "entropy_bits", "bracket_kT", "e_cut",
+                "k_steps", "distribution_mode", "witness_indices", "window_kT"]
+        corr_keys = ["value_kT", "delta_kT", "eps", "entropy_bits", "bracket_kT",
+                     "support_a", "support_b", "distribution_mode"]
+        small = dict(k_steps=20, atom_budget=50)
+        # exact and binned payloads keep exactly their keys
+        for kwargs in ({"k_steps": 2}, small):
+            res = extractable_work(eta, h, 0.1, **kwargs)
+            assert res.distribution_mode in ("exact", "binned")
+            assert list(res.to_dict()) == keys
+            corr = work_from_correlation(joint, 0.1, **kwargs)
+            assert list(corr.to_dict()) == corr_keys
+
+        monkeypatch.setattr(thermo, "_DENSE_CAP", 100)
+        n = 2000
+        kappa = math.sqrt(math.log(200.0) / (2 * n))
+        res = extractable_work(eta, h, 0.1, mc_trajectories=n, seed=3, **small)
+        corr = work_from_correlation(joint, 0.1, mc_trajectories=n, seed=3, **small)
+        for payload, base in ((res.to_dict(), keys), (corr.to_dict(), corr_keys)):
+            assert payload["distribution_mode"] == "monte_carlo"
+            assert list(payload) == base + ["n_samples", "cdf_error_99"]
+            assert payload["n_samples"] == n
+            assert payload["cdf_error_99"] == kappa
+
     @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
     def test_resolution_must_be_finite_and_positive(self, resolution):
         proc, eta = _random_quench_process()
