@@ -95,15 +95,24 @@ def _output_joint(t: np.ndarray, eta: np.ndarray):
 def _encoded_joint(ch: StochasticChannel, inputs, weights):
     """Joint of channel output with the message register for the separable
     input sum_m p_m (input x_m) x (flag m), plus its product reference."""
-    m = len(inputs)
-    joint = np.zeros((ch.dim_out, m))
-    for k, x in enumerate(inputs):
-        joint[:, k] = weights[k] * ch.matrix[:, x]
-    avg_in = np.zeros(ch.dim_in)
-    for k, x in enumerate(inputs):
-        avg_in[x] += weights[k]
+    idx = np.asarray(inputs, dtype=np.intp)
+    joint = ch.matrix[:, idx] * weights
+    avg_in = np.bincount(idx, weights, minlength=ch.dim_in)
     reference = np.outer(ch.matrix @ avg_in, weights)
     return Distribution(joint.reshape(-1)), Distribution(reference.reshape(-1))
+
+
+def _upper_witness(ch: StochasticChannel, codebook, eps: float):
+    """Gibbs deviation of the codebook's classical version and the smoothed
+    Renyi-0 result of its output on the maximally correlated input."""
+    cv = classical_version(ch, codebook)
+    m = codebook.message_count
+    q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
+    return gibbs_deviation(cv), smoothed_renyi0(q, r, eps)
+
+
+def _verdict(problems) -> str:
+    return "consistent" if not problems else "violation: " + "; ".join(problems)
 
 
 def _best_codebooks_per_size(ch: StochasticChannel):
@@ -158,11 +167,7 @@ def capacity_entropic_bounds(
             best_dh, best_inputs = bits, inputs
     lower = best_dh - terms["sandwich_penalty_bits"]
 
-    cv = classical_version(ch, cap.codebook)
-    deviation = gibbs_deviation(cv)
-    m = cap.codebook.message_count
-    q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
-    d0 = smoothed_renyi0(q, r, eps + delta)
+    deviation, d0 = _upper_witness(ch, cap.codebook, eps + delta)
     upper = d0.bracket[1]
 
     problems = []
@@ -172,7 +177,6 @@ def capacity_entropic_bounds(
         problems.append(f"lower estimate {lower} exceeds capacity {cap.bits}")
     if cap.bits > upper + _CHAIN_TOL:
         problems.append(f"capacity {cap.bits} exceeds upper witness {upper}")
-    verdict = "consistent" if not problems else "violation: " + "; ".join(problems)
 
     return BoundReport(
         lower_estimate=lower,
@@ -187,7 +191,7 @@ def capacity_entropic_bounds(
             "best_lower_dh_bits": best_dh,
             "renyi0_witness": list(d0.witness.indices),
         },
-        verdict=verdict,
+        verdict=_verdict(problems),
     )
 
 
@@ -228,11 +232,7 @@ def capacity_work_bounds(
     lower = LN2 * best_d0 - terms["work_penalty_kT"]
     lower_bracket = (LN2 * best_d0, LN2 * best_d0 + math.log(1.0 / (1.0 - omega)))
 
-    cv = classical_version(ch, cap.codebook)
-    deviation = gibbs_deviation(cv)
-    m = cap.codebook.message_count
-    q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
-    d0_upper = smoothed_renyi0(q, r, eps + delta)
+    deviation, d0_upper = _upper_witness(ch, cap.codebook, eps + delta)
     upper = LN2 * d0_upper.bracket[1] + math.log(1.0 / (1.0 - eps - delta))
 
     problems = []
@@ -242,7 +242,6 @@ def capacity_work_bounds(
         problems.append(f"lower estimate {lower} exceeds ln2 * capacity {center}")
     if center > upper + _CHAIN_TOL:
         problems.append(f"ln2 * capacity {center} exceeds upper estimate {upper}")
-    verdict = "consistent" if not problems else "violation: " + "; ".join(problems)
 
     return BoundReport(
         lower_estimate=lower,
@@ -257,7 +256,7 @@ def capacity_work_bounds(
             "lower_surrogate_bracket_kT": list(lower_bracket),
             "renyi0_witness": list(d0_upper.witness.indices),
         },
-        verdict=verdict,
+        verdict=_verdict(problems),
     )
 
 
@@ -276,10 +275,7 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
 
     cap = one_shot_capacity(ch, eps)
     cap_equi = theta_equilibrium_capacity(ch, eps, theta)
-    cv = classical_version(ch, cap_equi.codebook)
-    m = cap_equi.codebook.message_count
-    q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
-    d0 = smoothed_renyi0(q, r, 2.0 * eps)
+    deviation, d0 = _upper_witness(ch, cap_equi.codebook, 2.0 * eps)
     surrogate = d0.bracket[1]
     surrogate_upper = surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))
 
@@ -288,7 +284,6 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
         problems.append("unconstrained capacity exceeds the constrained one")
     if cap_equi.bits > surrogate + _CHAIN_TOL:
         problems.append("constrained capacity exceeds the work surrogate")
-    verdict = "consistent" if not problems else "violation: " + "; ".join(problems)
 
     return BoundReport(
         lower_estimate=cap.bits,
@@ -300,10 +295,10 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
         },
         witnesses={
             "codebook_inputs": list(cap_equi.codebook.inputs),
-            "gibbs_deviation": gibbs_deviation(cv),
+            "gibbs_deviation": deviation,
             "renyi0_witness": list(d0.witness.indices),
         },
-        verdict=verdict,
+        verdict=_verdict(problems),
     )
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import (
     Distribution,
@@ -302,6 +301,29 @@ def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Resul
     return Renyi0Result(bits=bits, witness=witness, method=method, bracket=bracket)
 
 
+def _log_binomial_pmf(prob0: float, prob1: float, n: int) -> np.ndarray:
+    """log P(k ones in n draws) for k = 0..n under the binary law (prob0,
+    prob1), each entry used as given (never as 1 - the other); 0 log 0 = 0,
+    and a class that needs a symbol of zero mass gets -inf."""
+    # ln k! = ln Gamma(z), z = k + 1: math.lgamma for k below 32, Stirling's
+    # series through z^-7 from 32 on
+    z = np.arange(33.0, n + 2.0)
+    zi2 = 1.0 / (z * z)
+    series = (1 / 12 - zi2 * (1 / 360 - zi2 * (1 / 1260 - zi2 / 1680))) / z
+    stirling = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series
+    log_fact = np.concatenate(([math.lgamma(j + 1.0) for j in range(min(n + 1, 32))], stirling))
+    # ln n! - (ln k! + ln (n-k)!), grouped as scipy.stats.binom groups it: the
+    # rounding then stays closest to the values recorded with it
+    out = log_fact[n] - (log_fact + log_fact[::-1])
+    k = np.arange(n + 1)
+    for count, prob in ((k, prob1), (n - k, prob0)):
+        if prob > 0.0:
+            out += count * np.log(prob)
+        else:
+            out[count > 0] = -np.inf
+    return out
+
+
 def hypothesis_testing_entropy_iid_binary(
     p: Distribution, q: Distribution, eps: float, n: int
 ) -> float:
@@ -317,19 +339,18 @@ def hypothesis_testing_entropy_iid_binary(
         raise ThermocapError("n must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
-    p1, q1 = float(p.probs[1]), float(q.probs[1])
-    if (p.probs[0] > 0 and q.probs[0] == 0) or (p1 > 0 and q1 == 0):
+    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
+    if (p0 > 0 and q0 == 0) or (p1 > 0 and q1 == 0):
         raise SupportViolationError("support(p) must lie inside support(q)")
 
     k = np.arange(n + 1)
-    log_pmass = binom.logpmf(k, n, p1)
-    log_rmass = binom.logpmf(k, n, q1)
+    log_pmass = _log_binomial_pmf(p0, p1, n)
+    log_rmass = _log_binomial_pmf(q0, q1, n)
 
     # per-string log likelihood ratio of reference to state, class k, from
     # the symbols the class holds; classes p gives no mass go last
-    with np.errstate(divide="ignore"):
-        lr_one = np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0
-        lr_zero = np.log(1.0 - q1) - np.log(1.0 - p1) if p1 < 1.0 else 0.0
+    lr_one = np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0
+    lr_zero = np.log(q0) - np.log(p0) if p0 > 0.0 else 0.0
     log_ratio = k * lr_one
     log_ratio[:n] += (n - k[:n]) * lr_zero
     log_ratio[np.isneginf(log_pmass)] = np.inf

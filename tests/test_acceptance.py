@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line.  Criterion 8's deviation tolerance is
 known-red: the exact per-copy hypothesis-testing value at n=200, eps=0.01 is
-0.060274 against the 0.118709 target (deviation 0.058437, cross-checked by
+0.060274 against the 0.118709 target (deviation 0.058436, cross-checked by
 explicit tensor-power evaluation and an independent dense LP), so the 0.05
 tolerance cannot be met by any correct implementation; it first holds near
 n=350.  The assertion is kept at the stated tolerance anyway.
@@ -229,7 +229,7 @@ def test_criterion_7_work_sandwich():
 
 
 def test_criterion_8_stein_tolerance():
-    # known-red: the exact value at n=200 deviates by 0.058437 (> 0.05); see
+    # known-red: the exact value at n=200 deviates by 0.058436 (> 0.05); see
     # the module docstring.  The stated tolerance is asserted unchanged.
     p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
     target = relative_entropy(p, q)

@@ -38,6 +38,13 @@ def files(tmp_path):
     }
 
 
+def _src_env():
+    """Environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -94,13 +101,10 @@ class TestCapacityCommand:
 
     def test_module_entry_point(self, files):
         # python -m thermocap.cli runs the same front end as the script
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "thermocap.cli", "capacity", "--channel", files["identity4"],
              "--eps", "0"],
-            capture_output=True, env=env, cwd=files["tmp"], timeout=120,
+            capture_output=True, env=_src_env(), cwd=files["tmp"], timeout=120,
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
@@ -211,6 +215,28 @@ class TestAsymptoticsCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "n,value,target"
         assert len(lines) > 5
+
+    def test_runtime_loads_no_scipy(self, files):
+        # numpy is the only runtime dependency: a fresh process answering
+        # stein and D_H questions through the CLI never imports scipy
+        u2 = _write(files["tmp"], "u2.json", {"probs": [0.5, 0.5]})
+        argvs = [
+            ["asymptotics", "stein", "--p", files["state2"], "--q", u2, "--eps", "0.05",
+             "--nmax", "200"],
+            ["entropy", "dh", "--p", files["pointmass4"], "--q", files["uniform4"], "--eps", "0.1"],
+        ]
+        script = (
+            "import json, sys\n"
+            "import thermocap.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, env=_src_env(), cwd=files["tmp"], timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_capacity_series(self, capsys, files):
         code, out, _ = _run(capsys, ["asymptotics", "capacity-series", "--channel",

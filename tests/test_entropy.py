@@ -281,12 +281,46 @@ class TestTypeClasses:
             slow, _ = hypothesis_testing_entropy(tensor_power(p, 10), tensor_power(q, 10), eps)
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_reference_mass_below_rounding_of_one(self, n):
+        # q0 = 1e-20 vanishes in 1 - q1; the classes must use q0 itself
+        p, q = Distribution([0.5, 0.5]), Distribution([1e-20, 1.0])
+        fast = hypothesis_testing_entropy_iid_binary(p, q, 0.6, n)
+        slow, _ = hypothesis_testing_entropy(tensor_power(p, n), tensor_power(q, n), 0.6)
+        assert math.isfinite(fast)
+        assert fast == pytest.approx(slow, abs=1e-12)
+
     def test_stein_convergence_direction(self):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
         target = relative_entropy(p, q)
         dev20 = abs(hypothesis_testing_entropy_iid_binary(p, q, 0.01, 20) / 20 - target)
         dev200 = abs(hypothesis_testing_entropy_iid_binary(p, q, 0.01, 200) / 200 - target)
         assert dev200 < dev20
+
+
+class TestLogBinomial:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 200, 1000, 10_000])
+    def test_log_binomial_coefficients_exact(self, n):
+        # with both entries 1 only log C(n, k) remains; 31/32 is the seam
+        # between the lgamma table and Stirling's series
+        got = entropy._log_binomial_pmf(1.0, 1.0, n)
+        exact = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+        assert np.max(np.abs(got - exact)) <= 1e-15 * math.lgamma(n + 1.0) + 1e-14
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_degenerate_laws(self, n):
+        # -inf exactly where a class needs the absent symbol, without warnings
+        ones = np.full(n + 1, -np.inf)
+        ones[n] = 0.0
+        assert np.array_equal(entropy._log_binomial_pmf(0.0, 1.0, n), ones)
+        assert np.array_equal(entropy._log_binomial_pmf(1.0, 0.0, n), ones[::-1])
+
+    def test_matches_scipy_logpmf(self, rng):
+        for _ in range(60):
+            n = int(rng.choice([1, 2, 7, 31, 32, 33, 200, 1000, 10_000]))
+            p1 = float(rng.uniform(0.001, 0.999))
+            got = entropy._log_binomial_pmf(1.0 - p1, p1, n)
+            np.testing.assert_allclose(got, binom.logpmf(np.arange(n + 1), n, p1), rtol=1e-12)
 
 
 # The sequential greedy loops that the shared cover helper replaced, kept
@@ -315,14 +349,15 @@ def loop_hypothesis_testing(p, q, eps):
 
 
 def loop_iid_binary(p, q, eps, n):
-    p1, q1 = float(p.probs[1]), float(q.probs[1])
+    # pins the greedy over the type classes, not their log-masses
+    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
     k = np.arange(n + 1)
-    log_pmass = binom.logpmf(k, n, p1)
-    log_rmass = binom.logpmf(k, n, q1)
+    log_pmass = entropy._log_binomial_pmf(p0, p1, n)
+    log_rmass = entropy._log_binomial_pmf(q0, q1, n)
     pmass = np.exp(log_pmass)
     with np.errstate(divide="ignore"):
         lr_one = np.log(q1) - np.log(p1)
-        lr_zero = np.log(1.0 - q1) - np.log(1.0 - p1)
+        lr_zero = np.log(q0) - np.log(p0)
     log_ratio = np.where(k > 0, k * lr_one, 0.0) + np.where(k < n, (n - k) * lr_zero, 0.0)
     order = np.lexsort((k, log_ratio))
 
