@@ -47,11 +47,6 @@ class ConvergenceSeries:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ThermocapError("copy numbers must be strictly increasing")
 
-    def to_csv_rows(self) -> list:
-        rows = [("n", "value", "target")]
-        rows += [(n, v, self.target) for n, v in self.points]
-        return rows
-
     def to_dict(self) -> dict:
         out = {
             "points": [[int(n), float(v)] for n, v in self.points],
@@ -70,6 +65,8 @@ def stein_series(
     log-spaced copy grid; the target is the relative entropy."""
     if p.dim != 2 or q.dim != 2:
         raise ThermocapError("binary distributions required")
+    if n_max < 1:
+        raise ThermocapError("n_max must be at least 1")
     if n_max > 10_000:
         raise ThermocapError("n_max is capped at 10^4")
     if np.any((p.probs > 0) & (q.probs == 0)):

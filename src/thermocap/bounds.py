@@ -35,7 +35,7 @@ from .core import (
     ThermocapError,
 )
 from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
-from .thermo import work_from_correlation
+from .thermo import DEFAULT_E_CUT, DEFAULT_K_STEPS, work_from_correlation
 
 _CHAIN_TOL = 1e-6
 
@@ -341,8 +341,8 @@ def landauer_scenario(
     eps: float,
     trials: int,
     seed: int = 0,
-    e_cut: float = 50.0,
-    k_steps: int = 400,
+    e_cut: float = DEFAULT_E_CUT,
+    k_steps: int = DEFAULT_K_STEPS,
 ) -> LandauerScenarioReport:
     """Referee/sender/receiver round trip on the maximally correlated input.
 

@@ -37,7 +37,7 @@ from .core import (
     ThermocapError,
 )
 from .entropy import hypothesis_testing_entropy, relative_entropy, smoothed_renyi0
-from .thermo import extractable_work, work_from_correlation
+from .thermo import ATOM_BUDGET, DEFAULT_E_CUT, DEFAULT_K_STEPS, extractable_work, work_from_correlation
 
 
 class _UsageError(Exception):
@@ -49,28 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, cls):
+    """Build a `cls` from the JSON file at `path`; a file that cannot be read,
+    parsed or shaped into `cls` is a usage error, a failed validation is not."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return cls.from_dict(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def load_distribution(path: str) -> Distribution:
-    return Distribution.from_dict(_load_json(path))
-
-
-def load_channel(path: str) -> StochasticChannel:
-    return StochasticChannel.from_dict(_load_json(path))
-
-
-def load_hamiltonian(path: str) -> Hamiltonian:
-    return Hamiltonian.from_dict(_load_json(path))
-
-
-def load_joint(path: str) -> JointDistribution:
-    return JointDistribution.from_dict(_load_json(path))
 
 
 def _sanitize(obj):
@@ -94,24 +80,22 @@ def _sanitize(obj):
     return obj
 
 
-def _report(command: str, params: dict, result: dict, seed: int) -> dict:
-    return {
+def _emit(args, params: dict, result: dict) -> None:
+    which = getattr(args, "which", None)
+    report = {
         "tool": "thermocap",
         "version": __version__,
-        "command": command,
-        "seed": seed,
+        "command": args.command if which is None else f"{args.command} {which}",
+        "seed": args.seed,
         "params": _sanitize(params),
         "result": _sanitize(result),
     }
-
-
-def _emit(report: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = _to_csv(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -157,6 +141,8 @@ def _scale_work_fields(result: dict, temperature: float) -> dict:
 
 
 def build_parser() -> _Parser:
+    """Every subcommand declares its flags once; `main` echoes them all as
+    the report's params, loads the input files and rescales work outputs."""
     parser = _Parser(prog="thermocap", description=__doc__)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -164,41 +150,43 @@ def build_parser() -> _Parser:
     parser.add_argument("--temperature", type=float, default=1.0,
                         help="rescale k_B*T work outputs by this temperature")
     parser.add_argument("--budget-codebooks", type=int, default=CODEBOOK_BUDGET)
-    parser.add_argument("--budget-atoms", type=int, default=1_000_000)
+    parser.add_argument("--budget-atoms", type=int, default=ATOM_BUDGET)
     parser.add_argument("--budget-samples", type=int, default=100_000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     entropy = sub.add_parser("entropy", help="entropic quantities of two distributions")
+    entropy.set_defaults(run=_run_entropy)
     entropy.add_argument("which", choices=("d0", "dh", "rel"))
     entropy.add_argument("--p", required=True)
     entropy.add_argument("--q", required=True)
     entropy.add_argument("--eps", type=float, default=None)
 
     capacity = sub.add_parser("capacity", help="one-shot capacity oracle")
+    capacity.set_defaults(run=_run_capacity)
     capacity.add_argument("--channel", required=True)
     capacity.add_argument("--eps", type=float, required=True)
     capacity.add_argument("--theta", type=float, default=None)
     capacity.add_argument("--max-m", type=int, default=None)
     capacity.add_argument("--randomized", action="store_true")
 
-    workext = sub.add_parser("workext", help="single-shot extractable work")
+    work = _Parser(add_help=False)
+    work.add_argument("--eps", type=float, required=True)
+    work.add_argument("--delta", type=float, default=None)
+    work.add_argument("--ecut", type=float, default=DEFAULT_E_CUT)
+    work.add_argument("--ksteps", type=int, default=DEFAULT_K_STEPS)
+    work.add_argument("--schedule", choices=("angle", "weight", "energy"), default="angle")
+
+    workext = sub.add_parser("workext", parents=[work], help="single-shot extractable work")
+    workext.set_defaults(run=_run_workext)
     workext.add_argument("--state", required=True)
     workext.add_argument("--hamiltonian", required=True)
-    workext.add_argument("--eps", type=float, required=True)
-    workext.add_argument("--delta", type=float, default=None)
-    workext.add_argument("--ecut", type=float, default=50.0)
-    workext.add_argument("--ksteps", type=int, default=400)
-    workext.add_argument("--schedule", choices=("angle", "weight", "energy"), default="angle")
 
-    wcorr = sub.add_parser("wcorr", help="extractable work from correlation")
+    wcorr = sub.add_parser("wcorr", parents=[work], help="extractable work from correlation")
+    wcorr.set_defaults(run=_run_wcorr)
     wcorr.add_argument("--joint", required=True)
-    wcorr.add_argument("--eps", type=float, required=True)
-    wcorr.add_argument("--delta", type=float, default=None)
-    wcorr.add_argument("--ecut", type=float, default=50.0)
-    wcorr.add_argument("--ksteps", type=int, default=400)
-    wcorr.add_argument("--schedule", choices=("angle", "weight", "energy"), default="angle")
 
     bounds = sub.add_parser("bounds", help="sandwich-inequality checkers")
+    bounds.set_defaults(run=_run_bounds)
     bounds.add_argument("which", choices=("thm2", "thm4", "prop2"))
     bounds.add_argument("--channel", required=True)
     bounds.add_argument("--eps", type=float, required=True)
@@ -207,52 +195,67 @@ def build_parser() -> _Parser:
     bounds.add_argument("--theta", type=float, default=None)
 
     landauer = sub.add_parser("landauer", help="decode/extract round-trip simulation")
+    landauer.set_defaults(run=_run_landauer)
     landauer.add_argument("--channel", required=True)
     landauer.add_argument("--eps", type=float, required=True)
     landauer.add_argument("--trials", type=int, required=True)
 
     asym = sub.add_parser("asymptotics", help="convergence experiments")
-    asym.add_argument("which", choices=("stein", "capacity-series", "chi-bar"))
-    asym.add_argument("--p", default=None)
-    asym.add_argument("--q", default=None)
-    asym.add_argument("--channel", default=None)
-    asym.add_argument("--eps", type=float, default=None)
-    asym.add_argument("--nmax", type=int, default=200)
-    asym.add_argument("--kmax", type=int, default=3)
-    asym.add_argument("--theta", type=float, default=None)
-    asym.add_argument("--max-m", type=int, default=None)
+    leaves = asym.add_subparsers(dest="which", required=True)
+    stein = leaves.add_parser("stein", help="per-copy hypothesis-testing entropy")
+    stein.set_defaults(run=_run_stein)
+    stein.add_argument("--p", required=True)
+    stein.add_argument("--q", required=True)
+    stein.add_argument("--eps", type=float, required=True)
+    stein.add_argument("--nmax", type=int, default=200)
+    series = leaves.add_parser("capacity-series", help="regularized capacity series")
+    series.set_defaults(run=_run_capacity_series)
+    series.add_argument("--channel", required=True)
+    series.add_argument("--eps", type=float, required=True)
+    series.add_argument("--kmax", type=int, default=3)
+    series.add_argument("--theta", type=float, default=None)
+    chi_bar = leaves.add_parser("chi-bar", help="equilibrium-constrained correlation")
+    chi_bar.set_defaults(run=_run_chi_bar)
+    chi_bar.add_argument("--channel", required=True)
+    chi_bar.add_argument("--theta", type=float, required=True)
+    chi_bar.add_argument("--max-m", type=int, default=None)
 
     return parser
 
 
+#: namespace entries that are not echoed as params: the global flags, the
+#: subcommand selectors and the runner
+_NOT_PARAMS = {"format", "out", "seed", "temperature", "budget_codebooks", "budget_atoms",
+               "budget_samples", "command", "which", "run"}
+
+#: input file flags and the class each file holds
+_INPUTS = {"p": Distribution, "q": Distribution, "state": Distribution, "joint": JointDistribution,
+           "channel": StochasticChannel, "hamiltonian": Hamiltonian}
+
+
 def _require(args, names):
     for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+        if getattr(args, name) is None:
             raise _UsageError(f"--{name} is required for this subcommand")
 
 
 def _run_entropy(args):
-    p, q = load_distribution(args.p), load_distribution(args.q)
-    params = {"p": args.p, "q": args.q, "eps": args.eps}
     if args.which == "rel":
-        return params, {"bits": relative_entropy(p, q)}
+        return {"bits": relative_entropy(args.p, args.q)}
     _require(args, ["eps"])
     if args.which == "d0":
-        res = smoothed_renyi0(p, q, args.eps)
-        return params, {
+        res = smoothed_renyi0(args.p, args.q, args.eps)
+        return {
             "bits": res.bits,
             "witness": list(res.witness.indices),
             "method": res.method,
             "bracket": list(res.bracket),
         }
-    bits, test = hypothesis_testing_entropy(p, q, args.eps)
-    return params, {"bits": bits, "test_weights": [float(w) for w in test.weights]}
+    bits, test = hypothesis_testing_entropy(args.p, args.q, args.eps)
+    return {"bits": bits, "test_weights": [float(w) for w in test.weights]}
 
 
 def _run_capacity(args):
-    ch = load_channel(args.channel)
-    params = {"channel": args.channel, "eps": args.eps, "theta": args.theta,
-              "max_m": args.max_m, "randomized": args.randomized}
     kwargs = dict(
         max_messages=args.max_m,
         codebook_budget=args.budget_codebooks,
@@ -261,10 +264,10 @@ def _run_capacity(args):
         seed=args.seed,
     )
     if args.theta is None:
-        res = one_shot_capacity(ch, args.eps, **kwargs)
+        res = one_shot_capacity(args.channel, args.eps, **kwargs)
     else:
-        res = theta_equilibrium_capacity(ch, args.eps, args.theta, **kwargs)
-    return params, {
+        res = theta_equilibrium_capacity(args.channel, args.eps, args.theta, **kwargs)
+    return {
         "bits": res.bits,
         "message_count": res.codebook.message_count,
         "codebook_inputs": list(res.codebook.inputs),
@@ -274,124 +277,77 @@ def _run_capacity(args):
     }
 
 
+def _work_options(args) -> dict:
+    return dict(e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule,
+                atom_budget=args.budget_atoms, mc_trajectories=args.budget_samples,
+                seed=args.seed)
+
+
 def _run_workext(args):
-    eta = load_distribution(args.state)
-    h = load_hamiltonian(args.hamiltonian)
-    params = {"state": args.state, "hamiltonian": args.hamiltonian, "eps": args.eps,
-              "delta": args.delta, "ecut": args.ecut, "ksteps": args.ksteps,
-              "schedule": args.schedule}
-    res = extractable_work(
-        eta, h, args.eps, args.delta,
-        e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule,
-        atom_budget=args.budget_atoms, mc_trajectories=args.budget_samples, seed=args.seed,
-    )
-    result = res.to_dict()
-    if args.temperature != 1.0:
-        result = _scale_work_fields(result, args.temperature)
-    return params, result
+    return extractable_work(args.state, args.hamiltonian, args.eps, args.delta,
+                            **_work_options(args)).to_dict()
 
 
 def _run_wcorr(args):
-    joint = load_joint(args.joint)
-    params = {"joint": args.joint, "eps": args.eps, "delta": args.delta,
-              "ecut": args.ecut, "ksteps": args.ksteps, "schedule": args.schedule}
-    res = work_from_correlation(
-        joint, args.eps, args.delta,
-        e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule,
-        atom_budget=args.budget_atoms, mc_trajectories=args.budget_samples, seed=args.seed,
-    )
-    result = res.to_dict()
-    if args.temperature != 1.0:
-        result = _scale_work_fields(result, args.temperature)
-    return params, result
+    return work_from_correlation(args.joint, args.eps, args.delta, **_work_options(args)).to_dict()
 
 
 def _run_bounds(args):
-    ch = load_channel(args.channel)
-    params = {"channel": args.channel, "eps": args.eps, "omega": args.omega,
-              "delta": args.delta, "theta": args.theta}
     if args.which == "prop2":
         _require(args, ["theta"])
-        report = equilibrium_capacity_bounds(ch, args.eps, args.theta)
-    else:
-        _require(args, ["omega", "delta"])
-        ep = ErrorParams(eps=args.eps, omega=args.omega, delta=args.delta)
-        if args.which == "thm2":
-            report = capacity_entropic_bounds(ch, ep, seed=args.seed)
-        else:
-            report = capacity_work_bounds(ch, ep, seed=args.seed)
-    return params, report.to_dict()
+        return equilibrium_capacity_bounds(args.channel, args.eps, args.theta).to_dict()
+    _require(args, ["omega", "delta"])
+    ep = ErrorParams(eps=args.eps, omega=args.omega, delta=args.delta)
+    checker = capacity_entropic_bounds if args.which == "thm2" else capacity_work_bounds
+    return checker(args.channel, ep, seed=args.seed).to_dict()
 
 
 def _run_landauer(args):
-    ch = load_channel(args.channel)
-    params = {"channel": args.channel, "eps": args.eps, "trials": args.trials}
-    report = landauer_scenario(ch, args.eps, args.trials, seed=args.seed)
-    result = report.to_dict()
-    if args.temperature != 1.0:
-        result = _scale_work_fields(result, args.temperature)
-    return params, result
+    return landauer_scenario(args.channel, args.eps, args.trials, seed=args.seed).to_dict()
 
 
-def _run_asymptotics(args):
-    if args.which == "stein":
-        _require(args, ["p", "q", "eps"])
-        p, q = load_distribution(args.p), load_distribution(args.q)
-        series = stein_series(p, q, args.eps, args.nmax)
-        params = {"p": args.p, "q": args.q, "eps": args.eps, "nmax": args.nmax}
-        return params, series.to_dict()
-    _require(args, ["channel"])
-    ch = load_channel(args.channel)
-    if args.which == "chi-bar":
-        _require(args, ["theta"])
-        res = constrained_holevo(ch, args.theta, max_messages=args.max_m, seed=args.seed)
-        cap = shannon_capacity(ch)
-        params = {"channel": args.channel, "theta": args.theta, "max_m": args.max_m}
-        return params, {
-            "bits_lower_estimate": res.bits,
-            "message_count": res.message_count,
-            "witness": res.witness,
-            "unconstrained_capacity_bits": cap.bits,
-        }
-    _require(args, ["eps"])
-    params = {"channel": args.channel, "eps": args.eps, "kmax": args.kmax, "theta": args.theta}
+def _run_stein(args):
+    return stein_series(args.p, args.q, args.eps, args.nmax).to_dict()
+
+
+def _run_capacity_series(args):
     out = regularized_capacity_series(
-        ch, args.eps, k_max=args.kmax, theta=args.theta,
+        args.channel, args.eps, k_max=args.kmax, theta=args.theta,
         codebook_budget=args.budget_codebooks, samples=args.budget_samples, seed=args.seed,
     )
     if args.theta is None:
-        return params, out.to_dict()
+        return out.to_dict()
     series, chi_series = out
-    return params, {"capacity_series": series.to_dict(), "chi_series": chi_series.to_dict()}
+    return {"capacity_series": series.to_dict(), "chi_series": chi_series.to_dict()}
 
 
-_RUNNERS = {
-    "entropy": _run_entropy,
-    "capacity": _run_capacity,
-    "workext": _run_workext,
-    "wcorr": _run_wcorr,
-    "bounds": _run_bounds,
-    "landauer": _run_landauer,
-    "asymptotics": _run_asymptotics,
-}
+def _run_chi_bar(args):
+    res = constrained_holevo(args.channel, args.theta, max_messages=args.max_m, seed=args.seed)
+    return {
+        "bits_lower_estimate": res.bits,
+        "message_count": res.message_count,
+        "witness": res.witness,
+        "unconstrained_capacity_bits": shannon_capacity(args.channel).bits,
+    }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        sub = getattr(args, "which", None)
-        command = args.command if sub is None else f"{args.command} {sub}"
-        params, result = _RUNNERS[args.command](args)
-        report = _report(command, params, result, args.seed)
-        _emit(report, args.format, args.out)
+        args = build_parser().parse_args(argv)
+        if not (math.isfinite(args.temperature) and args.temperature > 0.0):
+            raise _UsageError("--temperature must be finite and positive")
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        for name, cls in _INPUTS.items():
+            if name in params:
+                setattr(args, name, _load(params[name], cls))
+        result = args.run(args)
+        if args.temperature != 1.0 and any(key.endswith("_kT") for key in result):
+            result = _scale_work_fields(result, args.temperature)
+        _emit(args, params, result)
     except (_UsageError, ThermocapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    verdict = result.get("verdict")
-    if verdict is not None and verdict != "consistent":
-        return 2
-    return 0
+    return 0 if result.get("verdict", "consistent") == "consistent" else 2
 
 
 def entry() -> None:

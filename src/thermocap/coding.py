@@ -193,6 +193,8 @@ def _search_randomized(ch, eps, theta, m_cap, samples, seed):
 
 
 def _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed):
+    if max_messages is not None and max_messages < 1:
+        raise ThermocapError("max_messages must be at least 1")
     m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
     if randomized:
         cb = _search_randomized(ch, eps, theta, m_cap, samples, seed)

@@ -231,13 +231,21 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     best_cost = float(np.sum(rs))
     best_set = list(range(order.size))
     qs_list, rs_list = qs.tolist(), rs.tolist()
-    cum_q, cum_r = _running_sum(qs).tolist(), _running_sum(rs).tolist()
+    cum_r = _running_sum(rs)
+    # rounding of a relaxation that stops at item k: a few ulps per summed
+    # item of the r running sums, and of the q running sums and `need`
+    # priced at r/q of the fractional item
+    ratios = rs / qs
+    rounding_at = (4.0 * np.finfo(float).eps * (np.arange(qs.size + 1) + 2)
+                   * (cum_r + np.append(ratios, ratios[-1:]))).tolist()
+    cum_q, cum_r = _running_sum(qs).tolist(), cum_r.tolist()
 
     def relaxation(start, need):
-        """Fractional-cover cost of `need` more q-mass from item `start` on;
-        the items left must be able to cover it (checked before each call)."""
+        """Fractional-cover cost of `need` more q-mass from item `start` on,
+        and a bound on its rounding error; the items left must be able to
+        cover `need` (checked before each call)."""
         k, frac = _greedy_cover(cum_q, qs_list, start, need)
-        return cum_r[k] - cum_r[start] + (frac * rs_list[k] if frac else 0.0)
+        return cum_r[k] - cum_r[start] + (frac * rs_list[k] if frac else 0.0), rounding_at[k]
 
     stack = [(0, 0.0, 0.0, [])]
     nodes = 0
@@ -245,7 +253,7 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
         nodes += 1
         idx, q_acc, r_acc, chosen = stack.pop()
         if base_q + q_acc > threshold:
-            if r_acc < best_cost - 1e-18:
+            if r_acc < best_cost:
                 best_cost = r_acc
                 best_set = chosen
             continue
@@ -253,9 +261,10 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
             continue
         if base_q + q_acc + suffix_q[idx] <= threshold:
             continue  # cannot become feasible
-        need = threshold - (base_q + q_acc)
-        bound = r_acc + relaxation(idx, need)
-        if bound > best_cost + 1e-12:
+        cost, rounding = relaxation(idx, threshold - (base_q + q_acc))
+        # prune only past the rounding of both sides: masses can be far
+        # below any absolute tolerance
+        if r_acc + cost > best_cost * (1.0 + 1e-12) + rounding:
             continue
         # explore inclusion first: drives toward feasible incumbents quickly
         stack.append((skip_to[idx], q_acc, r_acc, chosen))
@@ -264,7 +273,7 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     indices = tuple(sorted([int(j) for j in free] + [int(order[i]) for i in best_set]))
     if not stack:
         return indices, None
-    return indices, relaxation(0, threshold - base_q)
+    return indices, relaxation(0, threshold - base_q)[0]
 
 
 def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Result:

@@ -31,6 +31,8 @@ from .entropy import smoothed_renyi0
 #: occupation e^-50 is below double-precision relevance
 DEFAULT_E_CUT = 50.0
 DEFAULT_K_STEPS = 400
+#: atoms the exact work convolution may hold before it moves to a grid
+ATOM_BUDGET = 1_000_000
 
 _PRUNE_TOL = 1e-18
 _DENSE_CAP = 20_000_000
@@ -115,11 +117,6 @@ class WorkDistribution:
             out["cdf_error_99"] = self.cdf_error
         return out
 
-    def to_csv_rows(self) -> list:
-        rows = [("value", "prob")]
-        rows += [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-        return rows
-
 
 def _segments(proc: WorkProcess, eta: Distribution) -> list:
     """Split the process at thermalisations into (values, probs) increments:
@@ -172,7 +169,7 @@ def _dense_convolve(offset: int, dense: np.ndarray, shifts: np.ndarray, weights:
 def work_distribution(
     proc: WorkProcess,
     eta: Distribution,
-    atom_budget: int = 1_000_000,
+    atom_budget: int = ATOM_BUDGET,
     resolution: float | None = None,
     mc_trajectories: int = 100_000,
     seed: int = 0,
@@ -416,7 +413,7 @@ def extractable_work(
     e_cut: float = DEFAULT_E_CUT,
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
-    atom_budget: int = 1_000_000,
+    atom_budget: int = ATOM_BUDGET,
     mc_trajectories: int = 100_000,
     seed: int = 0,
 ) -> WorkExtractionResult:
@@ -518,7 +515,7 @@ def work_from_correlation(
     e_cut: float = DEFAULT_E_CUT,
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
-    atom_budget: int = 1_000_000,
+    atom_budget: int = ATOM_BUDGET,
     mc_trajectories: int = 100_000,
     seed: int = 0,
 ) -> WorkCorrelationResult:

@@ -34,6 +34,7 @@ def files(tmp_path):
         "ham2": _write(tmp_path, "ham2.json", {"levels": [0.0, 0.0], "units": "kT"}),
         "state2": _write(tmp_path, "state2.json", {"probs": [0.9, 0.1]}),
         "phi2": _write(tmp_path, "phi2.json", {"probs": [[0.5, 0.0], [0.0, 0.5]]}),
+        "u2": _write(tmp_path, "u2.json", {"probs": [0.5, 0.5]}),
         "tmp": tmp_path,
     }
 
@@ -49,6 +50,57 @@ def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _with_files(argv, files):
+    """Replace fixture names in an argv template by their paths."""
+    return [files.get(a, a) for a in argv]
+
+
+class TestParamsEcho:
+    # one case per benchmark CLI variant: the params echo is every flag the
+    # subcommand declares, with no global flag or selector among them
+    @pytest.mark.parametrize("argv, command, params", [
+        (["entropy", "d0", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
+         "entropy d0", {"p", "q", "eps"}),
+        (["entropy", "dh", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
+         "entropy dh", {"p", "q", "eps"}),
+        (["entropy", "rel", "--p", "pointmass4", "--q", "uniform4"],
+         "entropy rel", {"p", "q", "eps"}),
+        (["capacity", "--channel", "bsc01", "--eps", "0.1"],
+         "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
+        (["capacity", "--channel", "bsc01", "--eps", "0.15", "--theta", "0.25"],
+         "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
+        (["workext", "--state", "state2", "--hamiltonian", "ham2", "--eps", "0.15"],
+         "workext", {"state", "hamiltonian", "eps", "delta", "ecut", "ksteps", "schedule"}),
+        (["wcorr", "--joint", "phi2", "--eps", "0.05"],
+         "wcorr", {"joint", "eps", "delta", "ecut", "ksteps", "schedule"}),
+        (["bounds", "thm2", "--channel", "bsc01", "--eps", "0.15", "--omega", "0.075",
+          "--delta", "0.05"], "bounds thm2", {"channel", "eps", "omega", "delta", "theta"}),
+        (["bounds", "thm4", "--channel", "identity4", "--eps", "0.2", "--omega", "0.1",
+          "--delta", "0.05"], "bounds thm4", {"channel", "eps", "omega", "delta", "theta"}),
+        (["bounds", "prop2", "--channel", "bsc01", "--eps", "0.1", "--theta", "0.1"],
+         "bounds prop2", {"channel", "eps", "omega", "delta", "theta"}),
+        (["landauer", "--channel", "identity4", "--eps", "0.01", "--trials", "1000"],
+         "landauer", {"channel", "eps", "trials"}),
+        (["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05"],
+         "asymptotics stein", {"p", "q", "eps", "nmax"}),
+        (["asymptotics", "capacity-series", "--channel", "bsc01", "--eps", "0.1", "--kmax", "2"],
+         "asymptotics capacity-series", {"channel", "eps", "kmax", "theta"}),
+        (["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25"],
+         "asymptotics chi-bar", {"channel", "theta", "max_m"}),
+    ])
+    def test_command_and_params(self, capsys, files, argv, command, params):
+        code, out, _ = _run(capsys, ["--seed", "5", "--temperature", "2.0"]
+                            + _with_files(argv, files))
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == command
+        assert set(report["params"]) == params
+        assert report["seed"] == 5
+        # input files are echoed as the paths given, not as their contents
+        for name in params & {"p", "q", "state", "hamiltonian", "joint", "channel"}:
+            assert report["params"][name] == files[argv[argv.index(f"--{name}") + 1]]
 
 
 class TestEntropyCommands:
@@ -258,6 +310,42 @@ class TestErrorPaths:
         code, _, err = _run(capsys, ["capacity", "--channel", "/nope.json", "--eps", "0.1"])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("payload, argv", [
+        ([0.5, 0.5], ["entropy", "rel", "--p", "BAD", "--q", "u2"]),
+        ({"weights": [0.5, 0.5]}, ["entropy", "rel", "--p", "u2", "--q", "BAD"]),
+        ({"probs": ["half", 0.5]}, ["asymptotics", "stein", "--p", "BAD", "--q", "u2",
+                                    "--eps", "0.1"]),
+        ({"matrix": [[0.9, 0.1], [0.1, 0.9]], "dim_in": "x"},
+         ["capacity", "--channel", "BAD", "--eps", "0.1"]),
+        ([0.0, 1.0], ["workext", "--state", "state2", "--hamiltonian", "BAD", "--eps", "0.1"]),
+    ])
+    def test_malformed_file(self, capsys, files, payload, argv):
+        # a file of the wrong shape is reported like an unreadable one
+        bad = _write(files["tmp"], "bad.json", payload)
+        code, out, err = _run(capsys, _with_files(argv, dict(files, BAD=bad)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05", "--nmax", "0"],
+        ["capacity", "--channel", "bsc01", "--eps", "0.1", "--max-m", "0"],
+        ["capacity", "--channel", "bsc01", "--eps", "0.1", "--max-m", "0", "--randomized"],
+        ["--temperature", "nan", "wcorr", "--joint", "phi2", "--eps", "0.05"],
+        ["--temperature", "0", "wcorr", "--joint", "phi2", "--eps", "0.05"],
+        ["--temperature", "-2", "landauer", "--channel", "identity4", "--eps", "0.01",
+         "--trials", "1000"],
+        # each asymptotics leaf declares only the flags it uses
+        ["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05",
+         "--channel", "bsc01"],
+    ])
+    def test_bad_argument(self, capsys, files, argv):
+        code, out, err = _run(capsys, _with_files(argv, files))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_bad_usage(self, capsys, files):
         code, _, err = _run(capsys, ["entropy", "d0", "--p", files["pointmass4"],

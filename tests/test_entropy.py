@@ -133,6 +133,18 @@ class TestSmoothedRenyi0:
             )
             assert _subset_value(q.probs, bnb_indices) == enum.bits
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_branch_and_bound_with_tiny_masses(self, seed):
+        # Dirichlet(0.02) laws put most entries far below any absolute
+        # tolerance, so the search must compare r-masses relative to them
+        rng = np.random.default_rng([seed, 21, 2])
+        p, q = (Distribution(rng.dirichlet(np.full(21, 0.02))) for _ in range(2))
+        eps = float(rng.uniform(0.01, 0.5))
+        res = smoothed_renyi0(p, q, eps)
+        assert res.method == "branch_and_bound"
+        best = entropy._enumerate_best_subset(p.probs, q.probs, entropy._feasibility_threshold(eps))
+        assert res.bits == pytest.approx(entropy._subset_value(q.probs, best), rel=1e-12)
+
     def test_branch_and_bound_above_thirty(self, rng):
         p = random_distribution(rng, 35)
         q = random_distribution(rng, 35)
@@ -304,7 +316,11 @@ class TestLogBinomial:
         # with both entries 1 only log C(n, k) remains; 31/32 is the seam
         # between the lgamma table and Stirling's series
         got = entropy._log_binomial_pmf(1.0, 1.0, n)
-        exact = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+        # the exact integers C(n, k), built along the row: C(n, k+1) = C(n, k)(n-k)/(k+1)
+        comb = [1]
+        for k in range(n):
+            comb.append(comb[-1] * (n - k) // (k + 1))
+        exact = np.array([math.log(c) for c in comb])
         assert np.max(np.abs(got - exact)) <= 1e-15 * math.lgamma(n + 1.0) + 1e-14
 
     @pytest.mark.parametrize("n", [1, 5, 40])

@@ -120,9 +120,6 @@ class TestWorkDistribution:
         payload = wd.to_dict()
         assert payload["mode"] == "exact"
         assert sum(p for _, p in payload["atoms"]) == pytest.approx(1.0)
-        rows = wd.to_csv_rows()
-        assert rows[0] == ("value", "prob")
-        assert len(rows) == wd.values.size + 1
 
     def test_monte_carlo_fallback_is_seeded(self):
         proc, eta = _random_quench_process()
