@@ -165,8 +165,9 @@ def constrained_holevo(
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
+    if max_messages is not None and max_messages < 1:
+        raise ThermocapError("max_messages must be at least 1")
     cap = max(ch.dim_in, ch.dim_out) if max_messages is None else max_messages
-    cap = max(1, cap)
     rng = np.random.default_rng(seed)
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}

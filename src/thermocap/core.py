@@ -305,10 +305,11 @@ def gibbs_state(h: Hamiltonian) -> Distribution:
 
 def _gibbs_probs(levels: np.ndarray) -> np.ndarray:
     """The bits of gibbs_state(Hamiltonian(levels)).probs, building neither
-    object: the normalised weights, renormalised once as Distribution does."""
-    w = np.exp(-(levels - levels.min()))
-    probs = w / w.sum()
-    return probs / probs.sum()
+    object: the normalised weights, renormalised once as Distribution does.
+    A 2-D array is taken as one Hamiltonian per row."""
+    w = np.exp(-(levels - levels.min(axis=-1, keepdims=True)))
+    probs = w / w.sum(axis=-1, keepdims=True)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def maximally_correlated(m: int) -> JointDistribution:

@@ -121,35 +121,77 @@ class WorkDistribution:
 def _segments(proc: WorkProcess, eta: Distribution) -> list:
     """Split the process at thermalisations into (values, probs) increments:
     each run of level transformations adds the energy gap between its
-    boundary Hamiltonians under one draw from the occupancy at its start.
-    Runs whose gap is zero on every occupied level are dropped."""
+    boundary Hamiltonians under one draw from the occupancy at its start
+    (eta for the first run, the Gibbs state of its start levels after that).
+    Each increment's values are ascending and distinct, its probs positive.
+    Runs whose gap is zero on every occupied level are dropped; the rest
+    come in a stable order of increasing spread, values[-1] - values[0]."""
     if eta.dim != proc.initial.dim:
         raise DimensionMismatchError("state dimension must match the Hamiltonian")
-    segments = []
-    occupancy = eta.probs
-    start = current = proc.initial.levels
-    # a closing thermalisation ends the last run; it costs no work
-    for step in (*proc.steps, Thermalisation()):
+    current = proc.initial.levels
+    bounds = [current]
+    for step in proc.steps:
         if isinstance(step, LevelTransformation):
             current = step.new_levels.levels
-            continue
-        values, inverse = np.unique(current - start, return_inverse=True)
-        probs = np.bincount(inverse, weights=occupancy, minlength=values.size)
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
-        if values.size > 1 or values[0] != 0.0:
-            segments.append((values, probs))
-        occupancy, start = _gibbs_probs(current), current
-    return segments
+        else:
+            bounds.append(current)
+    # a closing thermalisation ends the last run; it costs no work
+    levels = np.stack([*bounds, current])
+    gaps = levels[1:] - levels[:-1]
+    occupancy = np.vstack([eta.probs, _gibbs_probs(levels[1:-1])])
+
+    # a unique per row; the stable sort keeps each group in index order, the
+    # order a per-row bincount adds it in
+    order = np.argsort(gaps, axis=1, kind="stable")
+    sorted_gaps = np.take_along_axis(gaps, order, axis=1)
+    first = np.ones(gaps.shape, dtype=bool)
+    np.not_equal(sorted_gaps[:, 1:], sorted_gaps[:, :-1], out=first[:, 1:])
+    run = np.nonzero(first)[0]
+    first = first.ravel()
+    values = sorted_gaps.ravel()[first]
+    probs = np.bincount(
+        np.cumsum(first) - 1, weights=np.take_along_axis(occupancy, order, axis=1).ravel()
+    )
+    keep = probs > 0.0
+    # a run costs work when some occupied level's gap is nonzero
+    moving = np.zeros(gaps.shape[0], dtype=bool)
+    moving[run[keep & (values != 0.0)]] = True
+    keep &= moving[run]
+    values, probs, run = values[keep], probs[keep], run[keep]
+
+    sizes = np.bincount(run, minlength=gaps.shape[0])[moving]
+    ends = np.cumsum(sizes)
+    spread = values[ends - 1] - values[ends - sizes]
+    segments = list(zip(np.split(values, ends[:-1]), np.split(probs, ends[:-1])))
+    return [segments[i] for i in np.argsort(spread, kind="stable")]
 
 
 def _convolve_exact(values, probs, seg_values, seg_probs):
-    vv = (values[:, None] + seg_values[None, :]).ravel()
-    pp = (probs[:, None] * seg_probs[None, :]).ravel()
-    out_values, inverse = np.unique(vv, return_inverse=True)
-    out_probs = np.bincount(inverse, weights=pp, minlength=out_values.size)
+    """Atoms of the sum of (values, probs) and one increment, both with
+    ascending values; the result's values are ascending and distinct too.
+
+    The sums come as seg_values.size ascending runs, which a stable argsort
+    merges.  Equal sums are added in the row-major order of
+    values[:, None] + seg_values[None, :], so the atoms carry the bits of an
+    np.unique/bincount convolution; atoms at or below _PRUNE_TOL are pruned.
+    """
+    sums = (seg_values[:, None] + values[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    first = np.ones(sums.size, dtype=bool)
+    np.not_equal(sums[1:], sums[:-1], out=first[1:])
+    if first.all():
+        out_probs = (seg_probs[:, None] * probs[None, :]).ravel()[order]
+    else:
+        group = np.empty(sums.size, dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
+        sums = sums[first]
+        # a rounding collision of three or more sums can merge out of
+        # row-major order, so each group is summed in that layout
+        out_probs = np.bincount(group.reshape(seg_values.size, -1).T.ravel(),
+                                weights=(probs[:, None] * seg_probs[None, :]).ravel())
     keep = out_probs > _PRUNE_TOL
-    return out_values[keep], out_probs[keep]
+    return sums[keep], out_probs[keep]
 
 
 def _dense_convolve(offset: int, dense: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
@@ -184,7 +226,7 @@ def work_distribution(
     if resolution is not None and not 0.0 < resolution < math.inf:
         raise ThermocapError("resolution must be finite and positive")
     res = resolution if resolution is not None else 1e-3
-    segments = sorted(_segments(proc, eta), key=lambda s: np.ptp(s[0]))
+    segments = _segments(proc, eta)
 
     values = np.zeros(1)
     probs = np.ones(1)
@@ -197,8 +239,7 @@ def work_distribution(
 
     idx = np.round(values / res).astype(np.int64)
     offset = int(idx.min())
-    dense = np.zeros(int(idx.max()) - offset + 1)
-    np.add.at(dense, idx - offset, probs)
+    dense = np.bincount(idx - offset, weights=probs)
     for seg_values, seg_probs in segments[n_exact:]:
         shifts = np.round(seg_values / res).astype(np.int64)
         if dense.size + int(shifts.max() - shifts.min()) > _DENSE_CAP:
@@ -322,8 +363,8 @@ def extraction_protocol(
     """
     if not 0.0 < eps <= 1.0 - 1.0 / math.sqrt(2.0):
         raise ThermocapError("need 0 < eps <= 1 - 1/sqrt(2)")
-    if e_cut <= 0.0:
-        raise ThermocapError("e_cut must be positive")
+    if not 0.0 < e_cut < math.inf:
+        raise ThermocapError("e_cut must be finite and positive")
     if k_steps < 1:
         raise ThermocapError("k_steps must be >= 1")
     if schedule not in ("angle", "weight", "energy"):

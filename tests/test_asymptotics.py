@@ -114,6 +114,12 @@ class TestConstrainedHolevo:
         values = [constrained_holevo(ch, th, n_random=50).bits for th in (0.05, 0.15, 0.3, 0.45)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("max_messages", [0, -1])
+    def test_max_messages_below_one_rejected(self, max_messages):
+        with pytest.raises(ThermocapError, match="max_messages"):
+            constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
+                               max_messages=max_messages)
+
     def test_enumeration_budget_raises_at_once(self):
         # 2^24 - 1 deterministic codebooks exceed the default budget
         with pytest.raises(SearchSpaceTooLargeError):

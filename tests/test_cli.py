@@ -182,6 +182,24 @@ class TestWorkCommands:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("e_cut", ["nan", "inf"])
+    @pytest.mark.parametrize("probs, levels, eps", [
+        # every level retained: the quench energy went unused and unchecked
+        ([0.47871047503679964, 0.5212895249632004], [2.482971073220786, 0.7315946405081437],
+         "0.0783"),
+        # a level quenched: the error named the levels, not the flag
+        ([0.7814962641979943, 0.14621189590411063, 0.07229183989789505],
+         [0.16208484972490333, 1.6112170281591625, 1.4465936702454167], "0.1284"),
+    ])
+    def test_bad_ecut_is_an_error(self, capsys, files, e_cut, probs, levels, eps):
+        state = _write(files["tmp"], "state.json", {"probs": probs})
+        ham = _write(files["tmp"], "ham.json", {"levels": levels, "units": "kT"})
+        code, out, err = _run(capsys, ["workext", "--state", state, "--hamiltonian", ham,
+                                       "--eps", eps, "--ecut", e_cut])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "e_cut" in err
+
     def test_wcorr_with_temperature(self, capsys, files):
         code, out, _ = _run(capsys, ["--temperature", "2.0", "wcorr", "--joint", files["phi2"],
                                      "--eps", "0.05"])
@@ -340,6 +358,9 @@ class TestErrorPaths:
         # each asymptotics leaf declares only the flags it uses
         ["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05",
          "--channel", "bsc01"],
+        # chi-bar's message cap is checked as capacity's is
+        ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "0"],
+        ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "-1"],
     ])
     def test_bad_argument(self, capsys, files, argv):
         code, out, err = _run(capsys, _with_files(argv, files))

@@ -109,11 +109,17 @@ class TestGibbsState:
             assert np.abs(g1.probs - g2.probs).max() < 1e-12
 
     def test_raw_helper_matches_validated_state(self, rng):
-        # the work pipeline's object-free occupancy must carry the same bits
+        # the work pipeline's object-free occupancy must carry the same bits,
+        # and so must each row of a stack of Hamiltonians
         for _ in range(200):
-            levels = rng.normal(scale=float(rng.uniform(0.1, 30.0)), size=int(rng.integers(1, 40)))
-            levels[rng.random(levels.size) < 0.2] = 50.0
-            assert _gibbs_probs(levels).tobytes() == gibbs_state(Hamiltonian(levels)).probs.tobytes()
+            rows = int(rng.choice([1, 2, 9, 40, 801]))
+            levels = rng.normal(scale=float(rng.uniform(0.1, 30.0)),
+                                size=(rows, int(rng.integers(1, 40))))
+            levels[rng.random(levels.shape) < 0.2] = 50.0
+            want = gibbs_state(Hamiltonian(levels[0])).probs
+            assert _gibbs_probs(levels[0]).tobytes() == want.tobytes()
+            for row, lv in zip(_gibbs_probs(levels), levels):
+                assert row.tobytes() == _gibbs_probs(lv).tobytes()
 
 
 class TestMaximallyCorrelated:

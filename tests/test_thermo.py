@@ -231,6 +231,13 @@ class TestWorkInputs:
             eps_delta_work(wd, 0.15, delta)
 
 
+    @pytest.mark.parametrize("e_cut", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_e_cut_rejected(self, e_cut):
+        with pytest.raises(ThermocapError, match="e_cut"):
+            extraction_protocol(Distribution([1.0, 0.0]), Hamiltonian([0.0, 0.0]), 0.15,
+                                e_cut=e_cut)
+
+
 class TestExtractionProtocol:
     def test_equilibrium_state_trivial_protocol(self):
         h = Hamiltonian([0.0, 0.7, 1.3])
@@ -425,3 +432,163 @@ def test_shortest_interval_matches_loop_reference():
                 shortest_confidence_interval(wd, eps)
         else:
             assert shortest_confidence_interval(wd, eps) == want
+
+
+def loop_convolve_exact(values, probs, seg_values, seg_probs):
+    """The np.unique/bincount convolution the merge of sorted runs replaced,
+    kept as its reference."""
+    vv = (values[:, None] + seg_values[None, :]).ravel()
+    pp = (probs[:, None] * seg_probs[None, :]).ravel()
+    out_values, inverse = np.unique(vv, return_inverse=True)
+    out_probs = np.bincount(inverse, weights=pp, minlength=out_values.size)
+    keep = out_probs > thermo._PRUNE_TOL
+    return out_values[keep], out_probs[keep]
+
+
+def _assert_convolution_matches(values, probs, seg_values, seg_probs):
+    got = thermo._convolve_exact(values, probs, seg_values, seg_probs)
+    want = loop_convolve_exact(values, probs, seg_values, seg_probs)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return want
+
+
+class TestConvolveExact:
+    def test_random_ascending_inputs(self):
+        # distinct sums: kills a merge that leaves probs in row-major order
+        # or pairs them with the wrong permutation
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n, s = int(rng.integers(1, 400)), int(rng.integers(1, 7))
+            values = np.unique(rng.normal(scale=3.0, size=n))
+            seg_values = np.unique(rng.normal(size=s))
+            _assert_convolution_matches(values, rng.dirichlet(np.ones(values.size)),
+                                        seg_values, rng.dirichlet(np.ones(seg_values.size)))
+
+    def test_integer_gaps_share_almost_every_sum(self):
+        # as on the energy schedule: kills summing a group in merge order or
+        # in the seg-major layout, and group ids not scattered back
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            values = np.unique(rng.integers(-40, 40, size=int(rng.integers(1, 60)))) * 0.25
+            seg_values = np.unique(rng.integers(-4, 5, size=int(rng.integers(1, 7)))) * 0.25
+            _assert_convolution_matches(values, rng.dirichlet(np.ones(values.size)),
+                                        seg_values, rng.dirichlet(np.ones(seg_values.size)))
+
+    def test_rounding_collisions(self):
+        # at 1e16 the float spacing is 2, so sums of different runs round
+        # together in groups of two to ten whose merge order is neither
+        # row-major nor its reverse; kills a sum in sorted order
+        values = np.arange(8) * 0.5
+        seg_values = 1e16 + np.array([0.0, 2.0, 4.0])
+        rng = np.random.default_rng(13)
+        merge_order_differs = False
+        for _ in range(20):
+            probs, seg_probs = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(3))
+            want = _assert_convolution_matches(values, probs, seg_values, seg_probs)
+            runs = (seg_values[:, None] + values[None, :]).ravel()
+            order = np.argsort(runs, kind="stable")
+            _, group = np.unique(runs[order], return_inverse=True)
+            products = (seg_probs[:, None] * probs[None, :]).ravel()
+            merged = np.bincount(group, weights=products[order])
+            merge_order_differs |= merged.tobytes() != want[1].tobytes()
+        # the case can tell the two summation orders apart
+        assert merge_order_differs
+
+    def test_single_atoms(self):
+        # one run, one-atom runs and lone sums: kills a first-of-group mask
+        # that does not open a group at the first atom
+        for values, seg_values in [([0.0], [1.5]), ([0.0], [-1.0, 2.0]), ([-1.0, 2.0], [0.5]),
+                                   ([-1.0, 2.0], [1.0]), ([3.0], [0.0])]:
+            values, seg_values = np.array(values), np.array(seg_values)
+            _assert_convolution_matches(values, np.full(values.size, 1.0 / values.size),
+                                        seg_values, np.full(seg_values.size, 1.0 / seg_values.size))
+
+    def test_atoms_straddling_the_prune_tolerance(self):
+        # products at, just below and just above _PRUNE_TOL, alone and in
+        # groups: kills a prune with >= or before the groups are summed
+        tol = thermo._PRUNE_TOL
+        values = np.array([0.0, 1.0, 2.0, 3.0])
+        probs = np.array([tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 1.0])
+        for seg_values in ([0.0], [0.0, 10.0], [0.0, 1.0], [0.0, 1.0, 2.0]):
+            seg_values = np.array(seg_values)
+            _assert_convolution_matches(values, probs, seg_values, np.ones(seg_values.size))
+
+
+def loop_segments(proc, eta):
+    """The per-step segment builder the batched pass replaced, with the
+    spread ordering work_distribution applied, kept as its reference."""
+    segments = []
+    occupancy = eta.probs
+    start = current = proc.initial.levels
+    for step in (*proc.steps, Thermalisation()):
+        if isinstance(step, LevelTransformation):
+            current = step.new_levels.levels
+            continue
+        values, inverse = np.unique(current - start, return_inverse=True)
+        probs = np.bincount(inverse, weights=occupancy, minlength=values.size)
+        keep = probs > 0.0
+        values, probs = values[keep], probs[keep]
+        if values.size > 1 or values[0] != 0.0:
+            segments.append((values, probs))
+        occupancy, start = gibbs_state(Hamiltonian(current)).probs, current
+    return sorted(segments, key=lambda s: np.ptp(s[0]))
+
+
+def _assert_segments_match(proc, eta):
+    got, want = thermo._segments(proc, eta), loop_segments(proc, eta)
+    assert len(got) == len(want)
+    for (gv, gp), (wv, wp) in zip(got, want):
+        assert gv.tobytes() == wv.tobytes()
+        assert gp.tobytes() == wp.tobytes()
+
+
+def _random_process(rng, d):
+    """Seeded quenches and thermalisations with zero-gap runs (repeated
+    thermalisations, quenches to the current levels), tied gaps (levels on
+    a coarse grid) and levels whose Gibbs occupancy underflows to zero."""
+    initial = rng.integers(0, 4, size=d) * 0.5
+    steps, current = [], initial
+    for _ in range(int(rng.integers(0, 16))):
+        kind = int(rng.integers(5))
+        if kind == 0:
+            steps.append(Thermalisation())
+            continue
+        if kind == 1:
+            levels = current
+        elif kind == 2:
+            levels = rng.integers(0, 4, size=d) * 0.5
+        elif kind == 3:
+            levels = np.where(rng.random(d) < 0.5, 1000.0, rng.normal(size=d))
+        else:
+            levels = rng.normal(size=d)
+        steps += [_quench(levels), Thermalisation()]
+        current = levels
+    steps.append(_quench(initial))
+    return WorkProcess(initial=Hamiltonian(initial), steps=tuple(steps))
+
+
+class TestSegments:
+    def test_random_processes_match_the_loop(self):
+        rng = np.random.default_rng(14)
+        for case in range(400):
+            d = 1 if case % 10 == 0 else int(rng.integers(2, 7))
+            eta = random_distribution(rng, d, allow_zeros=d > 1)
+            _assert_segments_match(_random_process(rng, d), eta)
+
+    def test_no_steps(self):
+        h = Hamiltonian([0.0, 1.0])
+        assert thermo._segments(WorkProcess(initial=h, steps=()), Distribution([0.5, 0.5])) == []
+
+    @pytest.mark.parametrize("schedule", ["angle", "weight", "energy"])
+    def test_extraction_schedules_match_the_loop(self, schedule):
+        rng = np.random.default_rng(15)
+        for d in (2, 4, 6):
+            # a peaked state, so the protocol quenches some levels
+            probs = rng.dirichlet(np.full(d, 0.2))
+            probs[-1] = 0.0
+            eta = Distribution(probs / probs.sum())
+            h = Hamiltonian(rng.uniform(0.0, 3.0, size=d))
+            proc, _ = extraction_protocol(eta, h, 0.1, k_steps=400, schedule=schedule)
+            assert proc.steps
+            _assert_segments_match(proc, eta)
