@@ -181,6 +181,8 @@ def _convolve_exact(values, probs, seg_values, seg_probs):
     first = np.ones(sums.size, dtype=bool)
     np.not_equal(sums[1:], sums[:-1], out=first[1:])
     if first.all():
+        # each atom is its one product, the bits of 0.0 + w, without the
+        # scatter and the transposed bincount below
         out_probs = (seg_probs[:, None] * probs[None, :]).ravel()[order]
     else:
         group = np.empty(sums.size, dtype=np.int64)
