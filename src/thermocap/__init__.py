@@ -40,8 +40,6 @@ from .coding import (
     theta_equilibrium_capacity,
 )
 from .thermo import (
-    LevelTransformation,
-    Thermalisation,
     WorkDistribution,
     WorkProcess,
     eps_delta_work,

@@ -35,7 +35,7 @@ from .core import (
     ThermocapError,
 )
 from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
-from .thermo import DEFAULT_E_CUT, DEFAULT_K_STEPS, work_from_correlation
+from .thermo import work_from_correlation
 
 _CHAIN_TOL = 1e-6
 
@@ -341,8 +341,6 @@ def landauer_scenario(
     eps: float,
     trials: int,
     seed: int = 0,
-    e_cut: float = DEFAULT_E_CUT,
-    k_steps: int = DEFAULT_K_STEPS,
 ) -> LandauerScenarioReport:
     """Referee/sender/receiver round trip on the maximally correlated input.
 
@@ -379,7 +377,7 @@ def landauer_scenario(
     counts = np.zeros((m, m))
     np.add.at(counts, (outs_w, msgs_w), 1.0)
     joint = JointDistribution(counts / work_trials)
-    work = work_from_correlation(joint, eps, e_cut=e_cut, k_steps=k_steps, seed=seed)
+    work = work_from_correlation(joint, eps, seed=seed)
 
     sigma = math.sqrt(max(exact_ps * (1.0 - exact_ps), 0.0) / decode_trials)
     three_sigma = 3.0 * sigma

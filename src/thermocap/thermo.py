@@ -1,14 +1,15 @@
 """Single-shot work extraction on finite classical systems.
 
 Processes alternate instantaneous level transformations (work cost equal to
-the energy-gap random variable) with free thermalisations.  Work random
-variables are computed exactly by convolving the independent per-stage
-increments, with grid binning and a seeded Monte-Carlo fallback once atom
-counts get out of hand.
+the energy-gap random variable) with free thermalisations; a process is kept
+as the levels it thermalises at.  Work random variables are computed exactly
+by convolving the independent per-stage increments, with grid binning and a
+seeded Monte-Carlo fallback once atom counts get out of hand.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import (
     JointDistribution,
     ThermocapError,
     ZeroMarginalError,
+    _freeze,
     _gibbs_probs,
     gibbs_state,
 )
@@ -39,33 +41,24 @@ _DENSE_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
-class LevelTransformation:
-    """Instantaneous quench to new energy levels; the state is untouched."""
-
-    new_levels: Hamiltonian
-
-
-@dataclass(frozen=True)
-class Thermalisation:
-    """Replace the state by the Gibbs state of the current levels; free."""
-
-
-@dataclass(frozen=True)
 class WorkProcess:
-    """Finite sequence of allowed operations returning to the initial levels."""
+    """Quenches and free thermalisations as an (r + 1) x d array: row 0 holds
+    the initial levels, each interior row the levels at one thermalisation
+    and the last row the final levels, back at row 0.  A run of quenches
+    leaves the state alone, so only its net gap costs work."""
 
-    initial: Hamiltonian
-    steps: tuple
+    levels: np.ndarray
 
     def __post_init__(self):
-        current = self.initial.levels
-        for step in self.steps:
-            if isinstance(step, LevelTransformation):
-                if step.new_levels.dim != self.initial.dim:
-                    raise DimensionMismatchError("level transformations must preserve dimension")
-                current = step.new_levels.levels
-        if not np.allclose(current, self.initial.levels, atol=1e-9):
+        try:
+            levels = np.array(self.levels, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ThermocapError("process levels must be a rectangular numeric array") from None
+        if levels.ndim != 2 or len(levels) < 2 or not levels.size or not np.isfinite(levels).all():
+            raise ThermocapError("process levels must be finite, in two or more rows of levels")
+        if not np.allclose(levels[-1], levels[0], rtol=0.0, atol=1e-9):
             raise ThermocapError("process must end at the initial Hamiltonian")
+        object.__setattr__(self, "levels", _freeze(levels))
 
 
 @dataclass(frozen=True)
@@ -120,25 +113,16 @@ class WorkDistribution:
 
 def _segments(proc: WorkProcess, eta: Distribution) -> list:
     """Split the process at thermalisations into (values, probs) increments:
-    each run of level transformations adds the energy gap between its
-    boundary Hamiltonians under one draw from the occupancy at its start
-    (eta for the first run, the Gibbs state of its start levels after that).
+    each pair of consecutive rows of its levels adds the gap between them
+    under one draw from the occupancy at the first row (eta for row 0, the
+    Gibbs state of the row's levels after that).
     Each increment's values are ascending and distinct, its probs positive.
     Runs whose gap is zero on every occupied level are dropped; the rest
     come in a stable order of increasing spread, values[-1] - values[0]."""
-    if eta.dim != proc.initial.dim:
+    if eta.dim != proc.levels.shape[1]:
         raise DimensionMismatchError("state dimension must match the Hamiltonian")
-    current = proc.initial.levels
-    bounds = [current]
-    for step in proc.steps:
-        if isinstance(step, LevelTransformation):
-            current = step.new_levels.levels
-        else:
-            bounds.append(current)
-    # a closing thermalisation ends the last run; it costs no work
-    levels = np.stack([*bounds, current])
-    gaps = levels[1:] - levels[:-1]
-    occupancy = np.vstack([eta.probs, _gibbs_probs(levels[1:-1])])
+    gaps = np.diff(proc.levels, axis=0)
+    occupancy = np.vstack([eta.probs, _gibbs_probs(proc.levels[1:-1])])
 
     # a unique per row; the stable sort keeps each group in index order, the
     # order a per-row bincount adds it in
@@ -367,8 +351,8 @@ def extraction_protocol(
         raise ThermocapError("need 0 < eps <= 1 - 1/sqrt(2)")
     if not 0.0 < e_cut < math.inf:
         raise ThermocapError("e_cut must be finite and positive")
-    if k_steps < 1:
-        raise ThermocapError("k_steps must be >= 1")
+    if not isinstance(k_steps, numbers.Integral) or k_steps < 1:
+        raise ThermocapError("k_steps must be an integer >= 1")
     if schedule not in ("angle", "weight", "energy"):
         raise ThermocapError("schedule must be 'angle', 'weight' or 'energy'")
     if eta.dim != h.dim:
@@ -378,7 +362,7 @@ def extraction_protocol(
     retained = sorted(d0.witness.indices)
     excluded = [n for n in range(h.dim) if n not in set(retained)]
     if not excluded:
-        return WorkProcess(initial=h, steps=()), d0
+        return WorkProcess(np.stack([h.levels, h.levels])), d0
 
     quenched = h.levels.copy()
     quenched[excluded] = e_cut
@@ -390,24 +374,20 @@ def extraction_protocol(
     u_final = float(w_exc.sum() / (z_retained + w_exc.sum()))
     theta_final = math.asin(math.sqrt(u_final))
 
-    steps = [LevelTransformation(Hamiltonian(quenched)), Thermalisation()]
-    for j in range(1, k_steps + 1):
-        frac = j / (k_steps + 1)
-        inter = quenched.copy()
-        if schedule == "angle":
-            u = math.sin(frac * theta_final) ** 2
-            w = z_retained * share * (u / (1.0 - u))
-            with np.errstate(divide="ignore"):
-                inter[excluded] = np.minimum(-np.log(w), e_cut)
-        elif schedule == "weight":
-            w = w_start[excluded] + frac * (w_end[excluded] - w_start[excluded])
-            inter[excluded] = -np.log(w)
-        else:
-            inter = quenched + frac * (h.levels - quenched)
-        steps.append(LevelTransformation(Hamiltonian(inter)))
-        steps.append(Thermalisation())
-    steps.append(LevelTransformation(Hamiltonian(h.levels.copy())))
-    return WorkProcess(initial=h, steps=tuple(steps)), d0
+    frac = (np.arange(1, k_steps + 1) / (k_steps + 1))[:, None]
+    inter = np.tile(quenched, (k_steps, 1))
+    if schedule == "angle":
+        # math.sin per step: np.sin need not round the same way
+        u = np.array([math.sin(f * theta_final) ** 2 for f in frac[:, 0]])[:, None]
+        w = z_retained * share * (u / (1.0 - u))
+        with np.errstate(divide="ignore"):
+            inter[:, excluded] = np.minimum(-np.log(w), e_cut)
+    elif schedule == "weight":
+        w = w_start[excluded] + frac * (w_end[excluded] - w_start[excluded])
+        inter[:, excluded] = -np.log(w)
+    else:
+        inter = quenched + frac * (h.levels - quenched)
+    return WorkProcess(np.vstack([h.levels, quenched, inter, h.levels])), d0
 
 
 @dataclass(frozen=True)

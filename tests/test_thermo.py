@@ -7,8 +7,6 @@ from thermocap import (
     Distribution,
     Hamiltonian,
     JointDistribution,
-    LevelTransformation,
-    Thermalisation,
     WorkProcess,
     eps_delta_work,
     extractable_work,
@@ -21,42 +19,77 @@ from thermocap import (
     work_from_correlation,
 )
 from thermocap import thermo
-from thermocap.core import LN2, AtomBudgetExceededError, ThermocapError, ZeroMarginalError
+from thermocap.core import (
+    LN2,
+    AtomBudgetExceededError,
+    DimensionMismatchError,
+    ThermocapError,
+    ZeroMarginalError,
+)
 from thermocap.thermo import WorkDistribution, restrict_support, shortest_confidence_interval
 
 from conftest import random_distribution
-
-
-def _quench(levels):
-    return LevelTransformation(Hamiltonian(levels))
 
 
 def _random_quench_process():
     """Twelve seeded random quenches on three levels, each thermalised: far
     more work atoms than small budgets admit."""
     rng = np.random.default_rng(5)
-    steps = []
-    for _ in range(12):
-        steps += [_quench(rng.normal(size=3)), Thermalisation()]
-    steps += [_quench([0.0, 0.0, 0.0])]
-    proc = WorkProcess(initial=Hamiltonian([0.0, 0.0, 0.0]), steps=tuple(steps))
+    quenches = [rng.normal(size=3) for _ in range(12)]
+    proc = WorkProcess([np.zeros(3), *quenches, np.zeros(3)])
     return proc, Distribution([0.5, 0.3, 0.2])
+
+
+class TestWorkProcess:
+    @pytest.mark.parametrize("levels", [
+        [0.0, 1.0],
+        [[0.0, 1.0]],
+        np.zeros((2, 0)),
+        [[0.0, 1.0], [0.0]],
+        [[0.0, math.nan], [0.0, math.nan]],
+        [[0.0, math.inf], [0.0, math.inf]],
+        [["a", "b"], ["a", "b"]],
+    ], ids=["1-D", "one-row", "no-columns", "ragged", "nan", "inf", "not-numeric"])
+    def test_malformed_levels_raise_a_library_error(self, levels):
+        with pytest.raises(ThermocapError):
+            WorkProcess(levels)
+
+    def test_process_must_return_to_initial(self):
+        with pytest.raises(ThermocapError, match="initial"):
+            WorkProcess([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ThermocapError, match="initial"):
+            WorkProcess([[0.0, 0.0], [3.0, 0.0], [0.0, 2e-9]])
+        # the tolerance is absolute: a relative one would pass 4e-4 at level 50
+        with pytest.raises(ThermocapError, match="initial"):
+            WorkProcess([[0.0, 50.0], [3.0, 0.0], [0.0, 50.0004]])
+        WorkProcess([[0.0, 0.0], [3.0, 0.0], [0.0, 5e-10]])
+
+    def test_state_of_another_dimension_raises(self):
+        proc = WorkProcess([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DimensionMismatchError):
+            work_distribution(proc, Distribution([0.5, 0.3, 0.2]))
+
+    def test_levels_are_a_read_only_copy(self):
+        levels = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        proc = WorkProcess(levels)
+        assert not proc.levels.flags.writeable
+        assert not np.shares_memory(proc.levels, levels)
+        levels[1, 0] = 7.0
+        assert proc.levels[1, 0] == 3.0
+        with pytest.raises(ValueError):
+            proc.levels[1, 0] = 7.0
 
 
 class TestWorkDistribution:
     def test_single_quench_deterministic(self):
-        h = Hamiltonian([0.0, 0.0])
-        proc = WorkProcess(initial=h, steps=(_quench([3.0, 0.0]), _quench([0.0, 0.0])))
+        # quenching to [3, 0] and back without a thermalisation costs the net
+        # gap, zero; the state sits in level 0 throughout
+        proc = WorkProcess([[0.0, 0.0], [0.0, 0.0]])
         wd = work_distribution(proc, Distribution([1.0, 0.0]))
-        # state sits in level 0 throughout; the two quenches cancel exactly
         assert wd.values.tolist() == [0.0]
 
     def test_quench_up_only_point_mass(self):
-        h = Hamiltonian([0.0, 0.0])
-        proc = WorkProcess(
-            initial=h,
-            steps=(_quench([3.0, 0.0]), Thermalisation(), _quench([0.0, 0.0])),
-        )
+        proc = WorkProcess([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
         wd = work_distribution(proc, Distribution([1.0, 0.0]))
         assert wd.mode == "exact"
         # first increment: +3 with prob 1 (level 0 occupied); second: -3 with
@@ -71,27 +104,16 @@ class TestWorkDistribution:
     def test_cancelling_quenches_zero_work(self, rng):
         # transformations composing to the identity with no thermalisation
         # in between cost exactly nothing on every branch
-        h = Hamiltonian([0.0, 1.0, 2.0])
-        proc = WorkProcess(
-            initial=h,
-            steps=(
-                _quench([5.0, 1.0, 0.5]),
-                _quench([2.0, 2.0, 2.0]),
-                _quench([0.0, 1.0, 2.0]),
-            ),
-        )
+        # (quenches through [5, 1, 0.5] and [2, 2, 2] leave no row behind)
+        proc = WorkProcess([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
         wd = work_distribution(proc, random_distribution(rng, 3))
         assert wd.values.tolist() == [0.0]
         assert wd.probs.tolist() == [1.0]
 
     def test_two_bernoulli_increments_enumerated(self):
         e = 2.0
-        h = Hamiltonian([0.0, 0.0])
         eta = Distribution([0.6, 0.4])
-        proc = WorkProcess(
-            initial=h,
-            steps=(_quench([e, 0.0]), Thermalisation(), _quench([0.0, 0.0])),
-        )
+        proc = WorkProcess([[0.0, 0.0], [e, 0.0], [0.0, 0.0]])
         wd = work_distribution(proc, eta)
         g = gibbs_state(Hamiltonian([e, 0.0])).probs
         # increments: +e*1{n=0 initially}, -e*1{n=0 after thermalisation}
@@ -105,17 +127,8 @@ class TestWorkDistribution:
         for k in expected:
             assert abs(got[k] - expected[k]) < 1e-12
 
-    def test_process_must_return_to_initial(self):
-        h = Hamiltonian([0.0, 0.0])
-        with pytest.raises(ThermocapError):
-            WorkProcess(initial=h, steps=(_quench([1.0, 0.0]),))
-
     def test_export_round_trip(self):
-        h = Hamiltonian([0.0, 0.0])
-        proc = WorkProcess(
-            initial=h,
-            steps=(_quench([2.0, 0.0]), Thermalisation(), _quench([0.0, 0.0])),
-        )
+        proc = WorkProcess([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
         wd = work_distribution(proc, Distribution([0.6, 0.4]))
         payload = wd.to_dict()
         assert payload["mode"] == "exact"
@@ -244,7 +257,7 @@ class TestExtractionProtocol:
         g = gibbs_state(h)
         eps = 0.5 * float(g.probs.min())
         proc, d0 = extraction_protocol(g, h, eps)
-        assert len(proc.steps) == 0
+        assert proc.levels.tolist() == [h.levels.tolist()] * 2
         assert abs(d0.bits) < 1e-12
 
     def test_pure_bit_concentrates_near_ln2(self):
@@ -516,22 +529,18 @@ class TestConvolveExact:
 
 
 def loop_segments(proc, eta):
-    """The per-step segment builder the batched pass replaced, with the
+    """The per-row segment builder the batched pass replaced, with the
     spread ordering work_distribution applied, kept as its reference."""
     segments = []
     occupancy = eta.probs
-    start = current = proc.initial.levels
-    for step in (*proc.steps, Thermalisation()):
-        if isinstance(step, LevelTransformation):
-            current = step.new_levels.levels
-            continue
+    for start, current in zip(proc.levels[:-1], proc.levels[1:]):
         values, inverse = np.unique(current - start, return_inverse=True)
         probs = np.bincount(inverse, weights=occupancy, minlength=values.size)
         keep = probs > 0.0
         values, probs = values[keep], probs[keep]
         if values.size > 1 or values[0] != 0.0:
             segments.append((values, probs))
-        occupancy, start = gibbs_state(Hamiltonian(current)).probs, current
+        occupancy = gibbs_state(Hamiltonian(current)).probs
     return sorted(segments, key=lambda s: np.ptp(s[0]))
 
 
@@ -544,28 +553,23 @@ def _assert_segments_match(proc, eta):
 
 
 def _random_process(rng, d):
-    """Seeded quenches and thermalisations with zero-gap runs (repeated
-    thermalisations, quenches to the current levels), tied gaps (levels on
-    a coarse grid) and levels whose Gibbs occupancy underflows to zero."""
+    """Seeded thermalisation levels with zero-gap runs (repeated
+    thermalisations at the current levels), tied gaps (levels on a coarse
+    grid) and levels whose Gibbs occupancy underflows to zero."""
     initial = rng.integers(0, 4, size=d) * 0.5
-    steps, current = [], initial
+    rows = [initial]
     for _ in range(int(rng.integers(0, 16))):
         kind = int(rng.integers(5))
-        if kind == 0:
-            steps.append(Thermalisation())
-            continue
-        if kind == 1:
-            levels = current
+        if kind < 2:
+            levels = rows[-1]
         elif kind == 2:
             levels = rng.integers(0, 4, size=d) * 0.5
         elif kind == 3:
             levels = np.where(rng.random(d) < 0.5, 1000.0, rng.normal(size=d))
         else:
             levels = rng.normal(size=d)
-        steps += [_quench(levels), Thermalisation()]
-        current = levels
-    steps.append(_quench(initial))
-    return WorkProcess(initial=Hamiltonian(initial), steps=tuple(steps))
+        rows.append(levels)
+    return WorkProcess([*rows, initial])
 
 
 class TestSegments:
@@ -577,8 +581,8 @@ class TestSegments:
             _assert_segments_match(_random_process(rng, d), eta)
 
     def test_no_steps(self):
-        h = Hamiltonian([0.0, 1.0])
-        assert thermo._segments(WorkProcess(initial=h, steps=()), Distribution([0.5, 0.5])) == []
+        proc = WorkProcess([[0.0, 1.0], [0.0, 1.0]])
+        assert thermo._segments(proc, Distribution([0.5, 0.5])) == []
 
     @pytest.mark.parametrize("schedule", ["angle", "weight", "energy"])
     def test_extraction_schedules_match_the_loop(self, schedule):
@@ -590,5 +594,104 @@ class TestSegments:
             eta = Distribution(probs / probs.sum())
             h = Hamiltonian(rng.uniform(0.0, 3.0, size=d))
             proc, _ = extraction_protocol(eta, h, 0.1, k_steps=400, schedule=schedule)
-            assert proc.steps
+            assert proc.levels.shape == (400 + 3, d)
             _assert_segments_match(proc, eta)
+
+
+def loop_protocol_levels(eta, h, eps, e_cut, k_steps, schedule):
+    """The per-step schedule loop the array build of extraction_protocol
+    replaced, kept as its reference: [h, quenched, inter_1..k, h]."""
+    d0 = smoothed_renyi0(eta, gibbs_state(h), eps)
+    retained = sorted(d0.witness.indices)
+    excluded = [n for n in range(h.dim) if n not in set(retained)]
+    if not excluded:
+        return np.stack([h.levels, h.levels])
+
+    quenched = h.levels.copy()
+    quenched[excluded] = e_cut
+    w_end = np.exp(-h.levels)
+    w_start = np.exp(-quenched)
+    z_retained = float(w_end[retained].sum())
+    w_exc = w_end[excluded]
+    share = w_exc / w_exc.sum()
+    u_final = float(w_exc.sum() / (z_retained + w_exc.sum()))
+    theta_final = math.asin(math.sqrt(u_final))
+
+    rows = [h.levels, quenched]
+    for j in range(1, k_steps + 1):
+        frac = j / (k_steps + 1)
+        inter = quenched.copy()
+        if schedule == "angle":
+            u = math.sin(frac * theta_final) ** 2
+            w = z_retained * share * (u / (1.0 - u))
+            with np.errstate(divide="ignore"):
+                inter[excluded] = np.minimum(-np.log(w), e_cut)
+        elif schedule == "weight":
+            w = w_start[excluded] + frac * (w_end[excluded] - w_start[excluded])
+            inter[excluded] = -np.log(w)
+        else:
+            inter = quenched + frac * (h.levels - quenched)
+        rows.append(inter)
+    rows.append(h.levels)
+    return np.stack(rows)
+
+
+def _assert_protocol_matches(eta, h, eps, e_cut, k_steps, schedule):
+    proc, _ = extraction_protocol(eta, h, eps, e_cut=e_cut, k_steps=k_steps, schedule=schedule)
+    want = loop_protocol_levels(eta, h, eps, e_cut, k_steps, schedule)
+    assert proc.levels.shape == want.shape
+    assert proc.levels.tobytes() == want.tobytes()
+    return proc.levels
+
+
+class TestProtocolLevels:
+    @pytest.mark.parametrize("schedule", ["angle", "weight", "energy"])
+    def test_schedules_match_the_loop_bit_for_bit(self, schedule):
+        rng = np.random.default_rng(16)
+        for d in (2, 4, 6):
+            for k in (1, 2, 400):
+                # a peaked state, so the protocol quenches some levels
+                probs = rng.dirichlet(np.full(d, 0.2))
+                probs[-1] = 0.0
+                eta = Distribution(probs / probs.sum())
+                h = Hamiltonian(rng.uniform(0.0, 3.0, size=d))
+                levels = _assert_protocol_matches(eta, h, 0.1, 50.0, k, schedule)
+                assert levels.shape == (k + 3, d)
+
+    def test_angle_schedule_clipped_at_e_cut(self):
+        eta = Distribution([0.7, 0.3, 0.0, 0.0])
+        h = Hamiltonian([0.0, 0.5, 1.0, 1.5])
+        levels = _assert_protocol_matches(eta, h, 0.05, 4.0, 400, "angle")
+        # the first steps regain so little occupancy that -ln(w) passes e_cut
+        assert (levels[2:-1] == 4.0).any()
+        assert (levels[2:-1] < 4.0).any()
+
+    def test_nothing_to_quench(self):
+        h = Hamiltonian([0.0, 0.7, 1.3])
+        g = gibbs_state(h)
+        levels = _assert_protocol_matches(g, h, 0.5 * float(g.probs.min()), 50.0, 400, "angle")
+        assert levels.shape == (2, 3)
+
+    @pytest.mark.parametrize("k_steps", [2.5, 400.0, 0])
+    def test_k_steps_must_be_a_positive_integer(self, k_steps):
+        with pytest.raises(ThermocapError, match="k_steps"):
+            extraction_protocol(Distribution([1.0, 0.0]), Hamiltonian([0.0, 0.0]), 0.15,
+                                k_steps=k_steps)
+
+    def test_no_hamiltonian_per_step(self, monkeypatch):
+        built = []
+        init = Hamiltonian.__init__
+
+        def counting_init(self, levels):
+            built.append(1)
+            init(self, levels)
+
+        monkeypatch.setattr(Hamiltonian, "__init__", counting_init)
+        eta, h = Distribution([0.9, 0.1, 0.0]), Hamiltonian([0.0, 0.4, 1.0])
+        counts = []
+        for k in (1, 400):
+            built.clear()
+            proc, _ = extraction_protocol(eta, h, 0.2, k_steps=k)
+            assert proc.levels.shape == (k + 3, 3)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
