@@ -7,6 +7,7 @@ labelled as a bracket rather than silently trusted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +166,9 @@ def constrained_holevo(
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
-    if max_messages is not None and max_messages < 1:
-        raise ThermocapError("max_messages must be at least 1")
+    if max_messages is not None and (not isinstance(max_messages, numbers.Integral)
+                                     or max_messages < 1):
+        raise ThermocapError("max_messages must be an integer >= 1")
     cap = max(ch.dim_in, ch.dim_out) if max_messages is None else max_messages
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -2,13 +2,17 @@
 
 For a classical channel the average success probability is affine in each
 encoding distribution and each decoder column, so deterministic input symbols
-plus maximum-likelihood decoding are optimal; the capacity searches below
-therefore enumerate input-symbol combinations exactly.
+plus maximum-likelihood decoding are optimal; the exact capacity searches
+below therefore range over codebooks of distinct input symbols, by a
+branch-and-bound that returns the codebook a full enumeration would.  The
+batched enumerator `_codebook_batches` serves the callers that score every
+codebook.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +29,7 @@ from .core import (
 
 #: slack when comparing success probabilities against 1 - eps
 SUCCESS_TOL = 1e-12
-#: default cap on the number of codebooks one enumeration may visit
+#: default cap on the number of codebooks one search may range over
 CODEBOOK_BUDGET = 10_000_000
 
 
@@ -127,15 +131,20 @@ def _codebook_from_combo(ch: StochasticChannel, combo) -> Codebook:
     return Codebook(inputs=tuple(int(x) for x in combo), decoder=ml_decoder(ch, combo))
 
 
+def _check_budget(dim_in: int, sizes, budget: int) -> None:
+    """Raise unless the codebooks of every size in `sizes` fit in `budget`."""
+    total = sum(math.comb(dim_in, m) for m in sizes)
+    if total > budget:
+        raise SearchSpaceTooLargeError(f"{total} codebooks exceed the configured budget {budget}")
+
+
 def _codebook_batches(ch: StochasticChannel, sizes, budget: int = CODEBOOK_BUDGET,
                       batch: int = 4096):
     """Codebooks of distinct input symbols for each message count in `sizes`,
     lexicographic within a size, in batches (combos, cols) where cols[b, j]
     is the likelihood column of symbol combos[b, j].  The whole enumeration
     is checked against `budget` before it starts."""
-    total = sum(math.comb(ch.dim_in, m) for m in sizes)
-    if total > budget:
-        raise SearchSpaceTooLargeError(f"{total} codebooks exceed the configured budget {budget}")
+    _check_budget(ch.dim_in, sizes, budget)
     for m in sizes:
         it = itertools.combinations(range(ch.dim_in), m)
         while chunk := list(itertools.islice(it, batch)):
@@ -171,12 +180,59 @@ def _feasible(cols: np.ndarray, eps: float, theta: float | None) -> np.ndarray:
 
 
 def _search_exact(ch, eps, theta, m_cap, codebook_budget):
-    """Largest message count admitting a feasible codebook, searched with M
-    descending and combinations in lexicographic order (first hit wins)."""
-    for combos, cols in _codebook_batches(ch, range(m_cap, 0, -1), codebook_budget):
-        hits = _feasible(cols, eps, theta)
-        if hits.size:
-            return _codebook_from_combo(ch, combos[hits[0]])
+    """First feasible codebook of the largest feasible message count, and the
+    number of search nodes: one root per M, plus every child bounded or judged.
+
+    Depth-first branch-and-bound with M descending and combinations in
+    lexicographic order within each M, so the first feasible leaf is the
+    first feasible codebook of a full enumeration in that order.  With cur
+    the row maxima of a prefix, M * success = sum_y max_{x in C} W(y|x) is
+    monotone submodular (Nemhauser, Wolsey & Fisher 1978), and a prefix
+    ending in symbol a is pruned when neither bound reaches M (1 - eps),
+    less a rounding slack: the cover-all bound
+    sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
+    gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
+    (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`, the theta
+    condition at leaves only.  The budget counts every codebook of the sizes
+    searched, as `_codebook_batches` does.
+    """
+    _check_budget(ch.dim_in, range(m_cap, 0, -1), codebook_budget)
+    n = ch.dim_in
+    rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
+    suffix = np.maximum.accumulate(rows[::-1])[::-1]  # suffix[j][y] = max_{x >= j} W(y|x)
+    target = (1.0 - eps) - SUCCESS_TOL
+    nodes = 0
+    for m in range(m_cap, 0, -1):
+        # prune only past the rounding of the bound and leaf sums: a few ulps
+        # per summed output and chosen symbol, relative to the m * target the
+        # leaf sums are compared with
+        need = m * target
+        floor = need - 1e-12 * abs(need) - 4.0 * np.finfo(float).eps * (ch.dim_out + m + 4) * m
+        nodes += 1
+        if suffix[0].sum() < floor:
+            continue  # the cover-all bound at the root: no m-codebook can reach it
+        stack = [((), np.zeros(ch.dim_out))]
+        while stack:
+            prefix, cur = stack.pop()
+            left = m - len(prefix)  # symbols still to choose, the next one included
+            cand = np.arange(prefix[-1] + 1 if prefix else 0, n - left + 1)
+            nodes += cand.size
+            if left == 1:
+                combos = np.empty((cand.size, m), dtype=np.intp)
+                combos[:, :-1], combos[:, -1] = prefix, cand
+                hits = _feasible(rows[combos], eps, theta)
+                if hits.size:
+                    return _codebook_from_combo(ch, combos[hits[0]]), nodes
+                continue
+            child = np.maximum(cur, rows[cand])
+            gains = np.maximum(rows - child[:, None, :], 0.0).sum(axis=2)
+            gains[cand[:, None] >= np.arange(n)] = 0.0  # only symbols after a
+            top = np.sort(gains, axis=1)[:, n - left + 1:].sum(axis=1)
+            # child already holds a's column, so suffix[a] serves as the max over x > a
+            bound = np.minimum(np.maximum(child, suffix[cand]).sum(axis=1),
+                               child.sum(axis=1) + top)
+            for i in np.flatnonzero(bound >= floor)[::-1].tolist():
+                stack.append((prefix + (int(cand[i]),), child[i]))
     raise ThermocapError("single-message codebooks are always feasible; this is a bug")
 
 
@@ -193,13 +249,14 @@ def _search_randomized(ch, eps, theta, m_cap, samples, seed):
 
 
 def _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed):
-    if max_messages is not None and max_messages < 1:
-        raise ThermocapError("max_messages must be at least 1")
+    if max_messages is not None and (not isinstance(max_messages, numbers.Integral)
+                                     or max_messages < 1):
+        raise ThermocapError("max_messages must be an integer >= 1")
     m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
     if randomized:
         cb = _search_randomized(ch, eps, theta, m_cap, samples, seed)
     else:
-        cb = _search_exact(ch, eps, theta, m_cap, codebook_budget)
+        cb, _ = _search_exact(ch, eps, theta, m_cap, codebook_budget)
     return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=not randomized,
                           method="randomized" if randomized else "exhaustive")
 
@@ -215,10 +272,13 @@ def one_shot_capacity(
 ) -> CapacityResult:
     """One-shot classical capacity at average error eps, in bits.
 
-    Exact mode enumerates every codebook of distinct input symbols with ML
-    decoding (optimal for classical channels) and returns log2 of the largest
-    feasible message count together with an achieving codebook.  Randomized
-    mode samples codebooks and its result is only a lower bracket.
+    Exact mode searches the codebooks of distinct input symbols with ML
+    decoding (optimal for classical channels) by branch-and-bound, M
+    descending and lexicographic within M, and returns log2 of the largest
+    feasible message count together with the first achieving codebook in
+    that order.  `codebook_budget` caps the number of codebooks of the sizes
+    searched, counted before the search starts.  Randomized mode samples
+    codebooks and its result is only a lower bracket.
     """
     if not 0.0 <= eps <= 1.0:
         raise ThermocapError("eps must lie in [0, 1]")

@@ -16,8 +16,10 @@ from thermocap import (
 )
 from thermocap.coding import (
     _codebook_batches,
+    _feasible,
     _ml_composed,
     _ml_success,
+    _search_exact,
     _uniform_deviation,
 )
 from thermocap.core import SearchSpaceTooLargeError, ThermocapError, tensor_power_channel
@@ -40,6 +42,42 @@ def enumeration_channels():
     chans.append(tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 2))
     chans.append(StochasticChannel(np.eye(3)[:, [0, 1, 2, 0]]))
     return chans
+
+
+def first_feasible_reference(ch, eps, theta=None):
+    """M descending, combinations in lexicographic order: the first codebook
+    whose ClassicalVersion meets the success (and, with theta, the uniform
+    deviation) constraint."""
+    for m in range(ch.dim_in, 0, -1):
+        for combo in itertools.combinations(range(ch.dim_in), m):
+            cv = classical_version(ch, _codebook(ch, combo))
+            if (success_probability(cv) >= 1.0 - eps - 1e-12
+                    and (theta is None or gibbs_deviation(cv) <= 2.0 * theta + 1e-12)):
+                return combo
+    return None
+
+
+def first_feasible_enumerated(ch, eps, theta=None):
+    """The same order walked with the batched enumerator and `_feasible`."""
+    for combos, cols in _codebook_batches(ch, range(ch.dim_in, 0, -1)):
+        hits = _feasible(cols, eps, theta)
+        if hits.size:
+            return tuple(combos[hits[0]].tolist())
+    return None
+
+
+def tie_heavy_cases():
+    """(channel, eps) pairs whose codebooks tie in success probability."""
+    bsc3 = tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 3)
+    dup = random_channel(np.random.default_rng(5), 4, 5).matrix
+    return [
+        (bsc3, 0.1),
+        (bsc3, 0.2),
+        (StochasticChannel(dup[:, [0, 1, 1, 2, 3, 0, 2]]), 0.2),
+        (StochasticChannel.identity(6), 0.0),
+        (StochasticChannel.constant(5), 0.1),
+        (StochasticChannel.constant(5), 0.6),
+    ]
 
 
 class TestSuccessProbability:
@@ -123,6 +161,27 @@ class TestOneShotCapacity:
         exact = one_shot_capacity(ch, 0.3)
         assert res.bits <= exact.bits + 1e-12
 
+    @pytest.mark.parametrize("ch", enumeration_channels())
+    def test_first_feasible_codebook_in_search_order(self, ch):
+        for eps in (0.0, 0.1, 0.2, 0.3):
+            expected = first_feasible_reference(ch, eps)
+            assert one_shot_capacity(ch, eps).codebook.inputs == expected
+
+    @pytest.mark.parametrize("ch, eps", tie_heavy_cases())
+    def test_first_feasible_codebook_under_ties(self, ch, eps):
+        res = one_shot_capacity(ch, eps)
+        assert res.codebook.inputs == first_feasible_reference(ch, eps)
+        assert res.codebook.decoder == ml_decoder(ch, res.codebook.inputs)
+
+    @pytest.mark.parametrize("max_messages", [2.5, 2.0, "2"])
+    def test_non_integral_max_messages_rejected(self, max_messages):
+        with pytest.raises(ThermocapError, match="max_messages"):
+            one_shot_capacity(StochasticChannel.identity(4), 0.1, max_messages=max_messages)
+
+    def test_numpy_integer_max_messages_accepted(self):
+        ch = StochasticChannel.identity(4)
+        assert one_shot_capacity(ch, 0.1, max_messages=np.int64(2)).bits == 1.0
+
     def test_deterministic_encoders_suffice(self, rng):
         # stochastic encoders never beat the deterministic optimum: the
         # success probability is affine in each encoder column, so grid and
@@ -205,19 +264,9 @@ class TestThetaEquilibrium:
 
     @pytest.mark.parametrize("ch", enumeration_channels())
     def test_first_feasible_codebook_in_search_order(self, ch):
-        # reference: M descending, combinations in lexicographic order, the
-        # first codebook that meets both constraints wins
+        # the first codebook that meets both constraints wins
         for eps, theta in [(0.1, 0.1), (0.2, 0.25), (0.3, 0.45)]:
-            expected = None
-            for m in range(ch.dim_in, 0, -1):
-                for combo in itertools.combinations(range(ch.dim_in), m):
-                    cv = classical_version(ch, _codebook(ch, combo))
-                    if (success_probability(cv) >= 1.0 - eps - 1e-12
-                            and gibbs_deviation(cv) <= 2.0 * theta + 1e-12):
-                        expected = combo
-                        break
-                if expected is not None:
-                    break
+            expected = first_feasible_reference(ch, eps, theta)
             assert theta_equilibrium_capacity(ch, eps, theta).codebook.inputs == expected
 
 
@@ -247,3 +296,48 @@ class TestBatchedEnumerator:
                 assert abs(ps[b] - success_probability(cv)) <= 1e-12
                 assert np.abs(t[b] - cv.composed.matrix).max() <= 1e-12
                 assert abs(deviation[b] - gibbs_deviation(cv)) <= 1e-12
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("theta", [None, 0.25])
+    def test_matches_enumeration_on_dirichlet_channels(self, theta):
+        # Dirichlet(0.2) columns are sparse, so the bounds prune hard and a
+        # pruning slip would change the codebook
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            dim_in = int(rng.integers(10, 15))
+            ch = StochasticChannel(rng.dirichlet(np.full(dim_in, 0.2), size=dim_in).T)
+            eps = float(rng.choice([0.05, 0.1, 0.2]))
+            cb, _ = _search_exact(ch, eps, theta, dim_in, 10**7)
+            assert cb.inputs == first_feasible_enumerated(ch, eps, theta)
+            assert cb.decoder == ml_decoder(ch, cb.inputs)
+
+    def test_node_ceiling_dirichlet_d16(self):
+        rng = np.random.default_rng(1)
+        ch = StochasticChannel(rng.dirichlet(np.full(16, 0.2), size=16).T)
+        cb, nodes = _search_exact(ch, 0.1, None, 16, 10**7)
+        assert cb.inputs == (0, 2, 3, 4)
+        # 474 nodes when this ceiling was set; a full walk in the same order
+        # scores 63,111 codebooks up to this one
+        assert nodes <= 600
+
+    def test_node_ceiling_bsc4(self):
+        ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
+        cb, nodes = _search_exact(ch, 0.1, None, 16, 10**7)
+        assert cb.inputs == tuple(range(7))
+        # 12,610 nodes when this ceiling was set
+        assert nodes <= 16_000
+
+    def test_unreachable_sizes_cost_one_node_each(self):
+        # a constant channel has success at most 1/M, so the cover-all bound
+        # at the root refutes every M >= 2
+        cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, None, 12, 10**7)
+        assert cb.inputs == (0,)
+        assert nodes == 11 + 1 + 12
+
+    def test_budget_counts_every_size(self):
+        # the search raises on exactly the enumeration's budget: 2^12 - 1
+        ch = StochasticChannel.identity(12)
+        with pytest.raises(SearchSpaceTooLargeError):
+            one_shot_capacity(ch, 0.1, codebook_budget=4094)
+        assert one_shot_capacity(ch, 0.1, codebook_budget=4095).bits == math.log2(12)
