@@ -20,6 +20,7 @@ from .coding import (
     one_shot_capacity,
 )
 from .core import (
+    _count,
     ConvergenceError,
     Distribution,
     SearchSpaceTooLargeError,
@@ -66,8 +67,7 @@ def stein_series(
     log-spaced copy grid; the target is the relative entropy."""
     if p.dim != 2 or q.dim != 2:
         raise ThermocapError("binary distributions required")
-    if n_max < 1:
-        raise ThermocapError("n_max must be at least 1")
+    n_max = _count(n_max, "n_max")
     if n_max > 10_000:
         raise ThermocapError("n_max is capped at 10^4")
     if np.any((p.probs > 0) & (q.probs == 0)):

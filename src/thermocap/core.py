@@ -7,6 +7,7 @@ and renormalised so sums are exact afterwards.  Energies are dimensionless
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,14 @@ class ConvergenceError(ThermocapError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _count(value, name: str) -> int:
+    """`value` as an int when it is an integer >= 1 (numpy integers too, bool
+    not); anything else raises ThermocapError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ThermocapError(f"{name} must be an integer >= 1")
+    return int(value)
 
 
 def _as_probability_array(values, shape_name: str) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Entropic quantities for commuting (diagonal) states.
 
-The smoothed Renyi-0 entropy is a subset-selection problem solved exactly by
-enumeration or branch-and-bound, or bracketed when the branch-and-bound node
-budget runs out; the hypothesis-testing entropy is a fractional-knapsack
-linear program solved greedily.  All values are in bits.
+The smoothed Renyi-0 entropy is a subset-selection problem.  Up to ENUM_LIMIT
+= 32 outcomes it is solved exactly by a meet-in-the-middle search over all
+2^d subsets (the two halves' subset masses, one half sorted); above that by
+branch-and-bound, or bracketed when its node budget runs out.  The
+hypothesis-testing entropy is a fractional-knapsack linear program solved
+greedily.  All values are in bits.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _count,
     Distribution,
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -28,7 +31,7 @@ from .core import (
 FEASIBILITY_SLACK = 1e-12
 
 #: exact subset enumeration up to this dimension, branch-and-bound above it
-ENUM_LIMIT = 20
+ENUM_LIMIT = 32
 #: branch-and-bound nodes visited before the search stops with a bracket
 NODE_BUDGET = 1_000_000
 
@@ -89,7 +92,7 @@ def min_relative_entropy(p: Distribution, q: Distribution) -> float:
     mass = float(q.probs[p.probs > 0.0].sum())
     if mass == 0.0:
         raise InfiniteValueError("q assigns no mass to the support of p")
-    return -math.log2(mass)
+    return 0.0 - math.log2(mass)  # +0.0, not -0.0, at mass 1
 
 
 def min_positive_prob(p: Distribution) -> float:
@@ -103,8 +106,9 @@ def _feasibility_threshold(eps: float) -> float:
 
 
 def _bits(mass: float) -> float:
-    """-log2 of a reference mass; an empty mass is worth infinitely many bits."""
-    return math.inf if mass <= 0.0 else -math.log2(mass)
+    """-log2 of a reference mass; an empty mass is worth infinitely many bits.
+    A mass of 1 is worth +0.0 bits: 0.0 - x is -x except at x = 0."""
+    return math.inf if mass <= 0.0 else 0.0 - math.log2(mass)
 
 
 def _subset_value(r: np.ndarray, indices) -> float:
@@ -116,8 +120,13 @@ def _subset_value(r: np.ndarray, indices) -> float:
 def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     """Exact minimum r-mass over subsets with q-mass above threshold.
 
-    Builds all 2^d subset masses at once: the masses of each half's subsets
-    combine into a 2^lo x 2^hi outer-sum table, which is searched whole.
+    Meet in the middle over sorted halves (Horowitz and Sahni): every subset
+    is a lo-half subset a joined with a hi-half subset b, with masses
+    q_lo[a] + q_hi[b] and r_lo[a] + r_hi[b].  With the hi half sorted by
+    q-mass, the b that make a feasible are a suffix of that order, so a's
+    best r-mass is r_lo[a] plus the suffix minimum of r_hi.  O(2^(d/2) d)
+    time and O(2^(d/2)) memory; the witness is the one the full outer-sum
+    table's row-major argmin picks.
     """
     d = q.size
     lo = d // 2
@@ -135,14 +144,52 @@ def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     q_lo, q_hi = all_masses(q[:lo]), all_masses(q[lo:])
     r_lo, r_hi = all_masses(r[:lo]), all_masses(r[lo:])
 
-    q_all = q_lo[:, None] + q_hi[None, :]
-    r_all = r_lo[:, None] + r_hi[None, :]
-    feasible = q_all > threshold
-    if not feasible.any():
+    # the test fl(q_lo[a] + q_hi[b]) > threshold is monotone in each mass: a
+    # hi subset that fails with the heaviest lo subset fails with all, and a
+    # lo subset that fails with the heaviest hi subset fails with all
+    order = np.flatnonzero(q_lo.max() + q_hi > threshold)
+    if not order.size:
         raise ThermocapError("no feasible index set (eps <= 0?)")
-    r_masked = np.where(feasible, r_all, np.inf)
-    flat = int(np.argmin(r_masked))
-    mask_lo, mask_hi = divmod(flat, 1 << hi)
+    order = order[np.argsort(q_hi[order])]
+    qs = q_hi[order]
+    # suffix_min[s] = least r_hi over sorted positions s.., inf past the end
+    suffix_min = np.append(np.minimum.accumulate(r_hi[order][::-1])[::-1], np.inf)
+    rows = np.flatnonzero(q_lo + qs[-1] > threshold)
+
+    # start = first sorted position that passes with q_lo[row].  Away from
+    # t = threshold - q_lo[row] the test is decided by qs alone, so
+    # searchsorted finds start unless rounding flips a mass within a few ulps
+    # of t; those rows are bracketed past every rounding error (t -+ w) and
+    # settled by a binary search on the exact test.
+    x = q_lo[rows]
+    t = threshold - x
+    n = qs.size
+    start = np.searchsorted(qs, t, side="right")
+    below = start > 0
+    below[below] = x[below] + qs[start[below] - 1] > threshold
+    above = start < n
+    above[above] = ~(x[above] + qs[start[above]] > threshold)
+    open_ = np.flatnonzero(below | above)
+    if open_.size:
+        w = 16.0 * np.finfo(float).eps * (abs(threshold) + x[open_] + qs[-1]) + 1e-300
+        start[open_] = np.searchsorted(qs, t[open_] - w, side="left")
+        end = np.full(start.size, n)
+        end[open_] = np.searchsorted(qs, t[open_] + w, side="right")
+        open_ = open_[start[open_] < end[open_]]
+        while open_.size:
+            mid = (start[open_] + end[open_]) // 2
+            passes = x[open_] + qs[mid] > threshold
+            end[open_[passes]] = mid[passes]
+            start[open_[~passes]] = mid[~passes] + 1
+            open_ = open_[start[open_] < end[open_]]
+
+    # rows ascend, so argmin picks the least lo mask that reaches the minimum
+    value = r_lo[rows] + suffix_min[start]
+    best_row = int(np.argmin(value))
+    mask_lo, best = int(rows[best_row]), value[best_row]
+    # the least hi mask of that row that is feasible and reaches the value
+    hits = (q_lo[mask_lo] + q_hi > threshold) & (r_lo[mask_lo] + r_hi == best)
+    mask_hi = int(np.argmax(hits))
     indices = [b for b in range(lo) if (mask_lo >> b) & 1]
     indices += [lo + b for b in range(hi) if (mask_hi >> b) & 1]
     return tuple(indices)
@@ -280,10 +327,12 @@ def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Resul
     """Smoothed Renyi-0 entropy of p relative to q.
 
     Maximises log2(1 / sum_{j in S} q_j-reference-mass) over index sets S whose
-    p-mass strictly exceeds 1 - eps.  Exact by enumeration for dim <= 20 and
-    by branch-and-bound above; a search that exhausts NODE_BUDGET returns its
-    incumbent as the value and the bracket (incumbent, root relaxation bound),
-    labelled "node_budget_bracket".
+    p-mass strictly exceeds 1 - eps.  Exact for dim <= ENUM_LIMIT (32) by a
+    meet-in-the-middle search over every subset, labelled "enumeration",
+    which never brackets; above that by branch-and-bound.  A branch-and-bound
+    search that exhausts NODE_BUDGET returns its incumbent as the value and
+    the bracket (incumbent, root relaxation bound), labelled
+    "node_budget_bracket".
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("distributions must share a dimension")
@@ -344,8 +393,7 @@ def hypothesis_testing_entropy_iid_binary(
     """
     if p.dim != 2 or q.dim != 2:
         raise DimensionMismatchError("binary distributions required")
-    if n < 1:
-        raise ThermocapError("n must be >= 1")
+    n = _count(n, "n")
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
     (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()

@@ -63,6 +63,17 @@ class TestSteinSeries:
             with pytest.raises(ThermocapError):
                 stein_series(p, p, 0.1, n_max)
 
+    @pytest.mark.parametrize("n_max", [2.5, 50.0, True, "50"])
+    def test_n_max_must_be_an_integer(self, n_max):
+        # 2.5 used to run silently to n = 2
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        with pytest.raises(ThermocapError, match="n_max must be an integer"):
+            stein_series(p, q, 0.1, n_max)
+
+    def test_numpy_integer_n_max(self):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        assert stein_series(p, q, 0.1, np.int64(50)) == stein_series(p, q, 0.1, 50)
+
 
 class TestShannonCapacity:
     def test_identity(self):

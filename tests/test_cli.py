@@ -124,6 +124,17 @@ class TestEntropyCommands:
         assert code == 0
         assert json.loads(out)["result"]["bits"] == 2.0
 
+    def test_d0_full_mass_is_positive_zero(self, capsys, files):
+        # a witness of reference mass 1 is worth 0 bits: +0.0, never -0.0
+        code, out, _ = _run(capsys, ["entropy", "d0", "--p", files["u2"],
+                                     "--q", files["u2"], "--eps", "0.1"])
+        assert code == 0
+        assert "-0.0" not in out
+        result = json.loads(out)["result"]
+        assert result["witness"] == [0, 1]
+        assert result["bracket"] == [0.0, 0.0]
+        assert all(math.copysign(1.0, v) == 1.0 for v in [result["bits"], *result["bracket"]])
+
     def test_d0_above_thirty_runs_branch_and_bound(self, capsys, files):
         rng = np.random.default_rng(40)
         p = _write(files["tmp"], "p40.json", {"probs": rng.dirichlet(np.ones(40)).tolist()})

@@ -16,7 +16,7 @@ from thermocap import (
     smoothed_renyi0,
     tensor_power,
 )
-from thermocap.core import InfiniteValueError, SupportViolationError
+from thermocap.core import InfiniteValueError, SupportViolationError, ThermocapError
 from thermocap.entropy import brute_force_renyi0, dense_lp_oracle
 
 from conftest import random_distribution
@@ -81,12 +81,56 @@ class TestMinRelativeEntropy:
         with pytest.raises(InfiniteValueError):
             min_relative_entropy(Distribution([1.0, 0.0]), Distribution([0.0, 1.0]))
 
+    def test_full_mass_is_positive_zero(self):
+        p = Distribution([0.5, 0.5, 0.0])
+        val = min_relative_entropy(p, Distribution([0.5, 0.5, 0.0]))
+        assert val == 0.0 and math.copysign(1.0, val) == 1.0
+
 
 class TestMinPositiveProb:
     def test_examples(self):
         assert min_positive_prob(Distribution([1.0, 0.0])) == 1.0
         assert min_positive_prob(Distribution([0.5, 0.3, 0.2])) == pytest.approx(0.2)
         assert min_positive_prob(Distribution.uniform(8)) == pytest.approx(1 / 8)
+
+
+def table_best_subset(q, r, threshold):
+    """The whole 2^lo x 2^hi outer-sum table of the two halves' subset masses,
+    searched by one row-major argmin: the enumeration the sorted halves
+    replaced, kept verbatim as a reference for its witness."""
+    d = q.size
+    lo = d // 2
+    hi = d - lo
+
+    def all_masses(vals):
+        size = vals.size
+        masses = np.zeros(1 << size)
+        for b in range(size):
+            half = 1 << b
+            masses[half : 2 * half] = masses[:half] + vals[b]
+        return masses
+
+    q_lo, q_hi = all_masses(q[:lo]), all_masses(q[lo:])
+    r_lo, r_hi = all_masses(r[:lo]), all_masses(r[lo:])
+
+    q_all = q_lo[:, None] + q_hi[None, :]
+    r_all = r_lo[:, None] + r_hi[None, :]
+    feasible = q_all > threshold
+    if not feasible.any():
+        raise ThermocapError("no feasible index set (eps <= 0?)")
+    r_masked = np.where(feasible, r_all, np.inf)
+    flat = int(np.argmin(r_masked))
+    mask_lo, mask_hi = divmod(flat, 1 << hi)
+    indices = [b for b in range(lo) if (mask_lo >> b) & 1]
+    indices += [lo + b for b in range(hi) if (mask_hi >> b) & 1]
+    return tuple(indices)
+
+
+def _near_tie(rng, d):
+    """Every r/q ratio within about 0.1% of 1: the branch-and-bound's hard case."""
+    p = rng.dirichlet(np.ones(d))
+    q = p * np.exp(1e-3 * rng.standard_normal(d))
+    return Distribution(p), Distribution(q / q.sum())
 
 
 class TestSmoothedRenyi0:
@@ -136,14 +180,17 @@ class TestSmoothedRenyi0:
     @pytest.mark.parametrize("seed", range(40))
     def test_branch_and_bound_with_tiny_masses(self, seed):
         # Dirichlet(0.02) laws put most entries far below any absolute
-        # tolerance, so the search must compare r-masses relative to them
+        # tolerance, so the search must compare r-masses relative to them;
+        # smoothed_renyi0 enumerates d = 21, so the search is called directly
         rng = np.random.default_rng([seed, 21, 2])
         p, q = (Distribution(rng.dirichlet(np.full(21, 0.02))) for _ in range(2))
         eps = float(rng.uniform(0.01, 0.5))
         res = smoothed_renyi0(p, q, eps)
-        assert res.method == "branch_and_bound"
-        best = entropy._enumerate_best_subset(p.probs, q.probs, entropy._feasibility_threshold(eps))
-        assert res.bits == pytest.approx(entropy._subset_value(q.probs, best), rel=1e-12)
+        assert res.method == "enumeration"
+        best, bound = entropy._branch_and_bound_subset(
+            p.probs, q.probs, entropy._feasibility_threshold(eps))
+        assert bound is None
+        assert entropy._subset_value(q.probs, best) == pytest.approx(res.bits, rel=1e-12)
 
     def test_branch_and_bound_above_thirty(self, rng):
         p = random_distribution(rng, 35)
@@ -190,10 +237,8 @@ class TestSmoothedRenyi0:
             assert abs(res.bits - math.log2(d / k)) <= 1e-12
 
     def test_node_budget_bracket_contains_exact_value(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.ones(24))
-        near = probs * np.exp(1e-3 * rng.standard_normal(24))
-        p, q = Distribution(probs), Distribution(near / near.sum())
+        # near-tie pair above ENUM_LIMIT, where the branch-and-bound runs
+        p, q = _near_tie(np.random.default_rng(2), 34)
         exact = smoothed_renyi0(p, q, 0.15)
         assert exact.method == "branch_and_bound"
         monkeypatch.setattr(entropy, "NODE_BUDGET", 200)
@@ -205,15 +250,87 @@ class TestSmoothedRenyi0:
         assert res.bracket[0] <= exact.bits <= res.bracket[1]
 
     def test_branch_and_bound_dimension_band(self, rng):
-        # dims between the enumeration and branch-and-bound limits
-        p = random_distribution(rng, 25)
-        q = random_distribution(rng, 25)
+        # dims just above the enumeration limit
+        p = random_distribution(rng, 36)
+        q = random_distribution(rng, 36)
         res = smoothed_renyi0(p, q, 0.3)
         assert res.method == "branch_and_bound"
         assert res.witness.q_mass > (1 - 0.3) - 1e-9
         assert abs(-math.log2(res.witness.r_mass) - res.bits) < 1e-12
         dh, _ = hypothesis_testing_entropy(p, q, 0.3)
         assert res.bits <= dh + 1e-9
+
+
+class TestEnumeration:
+    def test_witness_matches_table_oracle(self):
+        rng = np.random.default_rng(12)
+        count = 0
+        for trial in range(3000):
+            d = int(rng.integers(1, 17))
+            p = rng.dirichlet(np.ones(d) * rng.choice([0.1, 1.0, 5.0]))
+            q = p.copy() if rng.random() < 0.2 else rng.dirichlet(np.ones(d))
+            kind = trial % 6
+            if kind == 1:  # rounded masses tie many subset sums
+                p, q = np.round(p, 2), np.round(q, 1)
+            elif kind == 2:
+                p[rng.random(d) < 0.3] = 0.0
+            elif kind == 3:
+                q[rng.random(d) < 0.3] = 0.0
+            elif kind == 4:
+                p = q = np.full(d, 1.0 / d)
+            elif kind == 5:  # dyadic masses: sums are exact, ties are exact
+                p, q = np.round(p * 8) / 8, np.round(q * 16) / 16
+            if p.sum() == 0.0 or q.sum() == 0.0:
+                continue
+            P, Q = Distribution(p / p.sum()), Distribution(q / q.sum())
+            p, q = P.probs, Q.probs
+            eps = float(rng.choice([rng.uniform(0.001, 0.95), 0.1, 0.25, 0.5]))
+            threshold = entropy._feasibility_threshold(eps)
+            assert smoothed_renyi0(P, Q, eps).witness.indices == table_best_subset(p, q, threshold)
+            # a threshold on a subset sum, a few ulps either side: rounding
+            # then decides feasibility, and the sorted search must agree
+            mask = rng.random(d) < 0.7
+            edge = float(np.sum(p[mask]) if rng.random() < 0.5 else np.sum(p[mask][::-1]))
+            edge = float(np.nextafter(edge, math.inf * rng.choice([-1, 1]))) if rng.random() < 0.5 else edge
+            edge += float(rng.integers(-3, 4)) * np.finfo(float).eps
+            try:
+                want = table_best_subset(p, q, edge)
+            except ThermocapError:
+                with pytest.raises(ThermocapError):
+                    entropy._enumerate_best_subset(p, q, edge)
+            else:
+                assert entropy._enumerate_best_subset(p, q, edge) == want
+            count += 1
+        assert count > 2900
+
+    @pytest.mark.parametrize("d", range(21, 33))
+    def test_matches_branch_and_bound(self, d):
+        rng = np.random.default_rng([d, 7])
+        for p, q in (_near_tie(rng, d), (random_distribution(rng, d), random_distribution(rng, d))):
+            eps = float(rng.uniform(0.05, 0.25))
+            res = smoothed_renyi0(p, q, eps)
+            assert res.method == "enumeration"
+            best, bound = entropy._branch_and_bound_subset(
+                p.probs, q.probs, entropy._feasibility_threshold(eps))
+            assert bound is None
+            assert entropy._subset_value(q.probs, best) == pytest.approx(res.bits, rel=1e-12)
+
+    def test_no_bracket_up_to_the_limit(self, monkeypatch):
+        # with no branch-and-bound nodes to spend, d = 32 is still exact and
+        # d = 33 is the first dimension that brackets
+        rng = np.random.default_rng(32)
+        p, q = _near_tie(rng, 32)
+        best, bound = entropy._branch_and_bound_subset(
+            p.probs, q.probs, entropy._feasibility_threshold(0.15))
+        assert bound is None
+        monkeypatch.setattr(entropy, "NODE_BUDGET", 0)
+        res = smoothed_renyi0(p, q, 0.15)
+        assert res.method == "enumeration"
+        assert res.exact
+        assert res.bracket == (res.bits, res.bits)
+        assert res.bits == pytest.approx(entropy._subset_value(q.probs, best), rel=1e-12)
+        p, q = _near_tie(rng, 33)
+        assert smoothed_renyi0(p, q, 0.15).method == "node_budget_bracket"
 
 
 class TestHypothesisTesting:
@@ -301,6 +418,18 @@ class TestTypeClasses:
         slow, _ = hypothesis_testing_entropy(tensor_power(p, n), tensor_power(q, n), 0.6)
         assert math.isfinite(fast)
         assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "4", 0, -2])
+    def test_n_must_be_an_integer(self, n):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        with pytest.raises(ThermocapError, match="n must be an integer"):
+            hypothesis_testing_entropy_iid_binary(p, q, 0.1, n)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_n(self, kind):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        assert hypothesis_testing_entropy_iid_binary(p, q, 0.1, kind(40)) == (
+            hypothesis_testing_entropy_iid_binary(p, q, 0.1, 40))
 
     def test_stein_convergence_direction(self):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
