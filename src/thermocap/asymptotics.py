@@ -149,6 +149,16 @@ def _mutual_information_bits(t: np.ndarray) -> np.ndarray:
     return _input_divergences(t, t.mean(axis=-1)).sum(axis=-1) / t.shape[-1]
 
 
+def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
+    """Dirichlet(1, ..., 1) samples from rows of standard exponentials.
+
+    The same bits as `Generator.dirichlet(np.ones(k))` draws from the same
+    exponentials: gamma(1) is the standard exponential, and each row is
+    scaled by the reciprocal of its running (not pairwise) sum.
+    """
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+
+
 def constrained_holevo(
     ch: StochasticChannel,
     theta: float,
@@ -160,41 +170,66 @@ def constrained_holevo(
     classical version moves the uniform state by at most 2*theta in L1.
 
     Deterministic encoders (distinct input symbols with merge-by-likelihood
-    decoding) are enumerated within the default codebook budget, then seeded
-    random stochastic pairs are tried; the result is always a lower estimate
-    of the true supremum.
+    decoding) are enumerated within the default codebook budget, then
+    n_random seeded random stochastic pairs are tried; the result is always
+    a lower estimate of the true supremum.  The random pairs are drawn one
+    after another in seeded order, exactly as per-pair `Generator.dirichlet`
+    calls would draw them, and scored in one batch per message count; a
+    random witness is the first pair in draw order attaining the best value.
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
     if max_messages is not None and (not isinstance(max_messages, numbers.Integral)
                                      or max_messages < 1):
         raise ThermocapError("max_messages must be an integer >= 1")
+    n_random = _count(n_random, "n_random", low=0)
     cap = max(ch.dim_in, ch.dim_out) if max_messages is None else max_messages
     rng = np.random.default_rng(seed)
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}
 
-    def consider(t: np.ndarray, witness):
-        """Offer a batch of M-to-M channels; witness(i) describes channel i."""
-        nonlocal best, best_witness
+    def score(t: np.ndarray):
+        """Uniform deviation of every M-to-M channel in a batch, the indices
+        of those within 2*theta, and their mutual information."""
         dev = _uniform_deviation(t)
         ok = np.flatnonzero(dev <= 2.0 * theta + 1e-12)
-        values = _mutual_information_bits(t[ok])
+        return dev, ok, _mutual_information_bits(t[ok])
+
+    for combos, cols in _codebook_batches(ch, range(1, min(cap, ch.dim_in) + 1)):
+        t = _ml_composed(cols)
+        dev, ok, values = score(t)
         if values.size and values.max() > best:
             i = ok[np.argmax(values)]
             best = float(values.max())
-            best_witness = dict(witness(i), message_count=t.shape[-1], deviation=float(dev[i]))
+            best_witness = {"kind": "deterministic", "inputs": combos[i].tolist(),
+                            "message_count": t.shape[-1], "deviation": float(dev[i])}
 
-    for combos, cols in _codebook_batches(ch, range(1, min(cap, ch.dim_in) + 1)):
-        consider(_ml_composed(cols),
-                 lambda i: {"kind": "deterministic", "inputs": combos[i].tolist()})
-
-    for _ in range(n_random):
-        m = int(rng.integers(1, cap + 1))
-        k = rng.dirichlet(np.ones(ch.dim_in), size=m).T
-        l = rng.dirichlet(np.ones(m), size=ch.dim_out).T
-        t = l @ ch.matrix @ k
-        consider(t[None], lambda i: {"kind": "random"})
+    # each pair draws as k = dirichlet(ones(dim_in), size=m) followed by
+    # l = dirichlet(ones(m), size=dim_out) would
+    sizes = np.empty(n_random, dtype=np.intp)
+    draws = []
+    for index in range(n_random):
+        sizes[index] = m = int(rng.integers(1, cap + 1))
+        draws.append(rng.standard_exponential(m * ch.dim_in + ch.dim_out * m))
+    # one batch per M, in the per-pair strides (k and l are transposes of
+    # row-sampled arrays), so every product has the bits of the pair's own
+    scores = np.full(n_random, -np.inf)
+    deviations = np.empty(n_random)
+    # the M drawn, by bincount: np.unique imports numpy.ma (3 MB) on first use
+    for m in np.flatnonzero(np.bincount(sizes)):
+        indices = np.flatnonzero(sizes == m)
+        e = np.array([draws[i] for i in indices])
+        k = _flat_dirichlet(e[:, :m * ch.dim_in].reshape(-1, m, ch.dim_in)).transpose(0, 2, 1)
+        l = _flat_dirichlet(e[:, m * ch.dim_in:].reshape(-1, ch.dim_out, m)).transpose(0, 2, 1)
+        dev, ok, values = score(l @ ch.matrix @ k)
+        deviations[indices] = dev
+        scores[indices[ok]] = values
+    # the first pair in draw order, and only a strictly better value
+    if n_random and scores.max() > best:
+        i = int(np.argmax(scores))
+        best = float(scores[i])
+        best_witness = {"kind": "random", "message_count": int(sizes[i]),
+                        "deviation": float(deviations[i])}
 
     return ConstrainedHolevoResult(bits=best, message_count=best_witness["message_count"],
                                    witness=best_witness)

@@ -67,11 +67,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _count(value, name: str) -> int:
-    """`value` as an int when it is an integer >= 1 (numpy integers too, bool
-    not); anything else raises ThermocapError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ThermocapError(f"{name} must be an integer >= 1")
+def _count(value, name: str, low: int = 1) -> int:
+    """`value` as an int when it is an integer >= low (numpy integers too,
+    bool not); anything else raises ThermocapError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ThermocapError(f"{name} must be an integer >= {low}")
     return int(value)
 
 

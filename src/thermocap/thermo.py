@@ -271,7 +271,8 @@ def _gain_cdf(wd: WorkDistribution, eps: float):
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
     order = np.argsort(-wd.values)
-    gains = -wd.values[order]
+    # 0.0 - w, not -w: a zero-work atom is the gain +0.0
+    gains = 0.0 - wd.values[order]
     probs = wd.probs[order]
     cum = np.concatenate([[0.0], np.cumsum(probs)])
     return gains, probs, cum, (1.0 - eps) - 1e-12

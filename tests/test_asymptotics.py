@@ -19,9 +19,34 @@ from thermocap import (
     stein_series,
     tensor_power_channel,
 )
+from thermocap import asymptotics
+from thermocap.asymptotics import _flat_dirichlet, _mutual_information_bits
+from thermocap.coding import _codebook_batches, _uniform_deviation
 from thermocap.core import SearchSpaceTooLargeError, SupportViolationError, ThermocapError
 
 from conftest import random_channel
+
+
+def reference_constrained_holevo(ch, theta, n_random, seed):
+    """The per-pair random search: one pair of rng.dirichlet calls and one
+    scoring call per pair, after the deterministic witness; only a strictly
+    better value replaces the incumbent."""
+    res = constrained_holevo(ch, theta, n_random=0)
+    best, witness = res.bits, res.witness
+    rng = np.random.default_rng(seed)
+    cap = max(ch.dim_in, ch.dim_out)
+    for _ in range(n_random):
+        m = int(rng.integers(1, cap + 1))
+        k = rng.dirichlet(np.ones(ch.dim_in), size=m).T
+        l = rng.dirichlet(np.ones(m), size=ch.dim_out).T
+        t = (l @ ch.matrix @ k)[None]
+        dev = float(_uniform_deviation(t)[0])
+        if dev <= 2.0 * theta + 1e-12:
+            value = _mutual_information_bits(t)[0]
+            if value > best:
+                best = float(value)
+                witness = {"kind": "random", "message_count": m, "deviation": dev}
+    return best, witness
 
 
 class TestSteinSeries:
@@ -179,6 +204,55 @@ class TestConstrainedHolevo:
                 assert res.message_count == len(witness[0])
                 assert res.witness["deviation"] == pytest.approx(witness[1], abs=1e-12)
 
+    @pytest.mark.parametrize("n_random", [2.5, -3, True, "3"])
+    def test_bad_n_random_rejected(self, n_random):
+        # 2.5 used to raise a bare TypeError and -3 to run as 0
+        with pytest.raises(ThermocapError, match="n_random"):
+            constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
+                               n_random=n_random)
+
+    @pytest.mark.parametrize("seed", [0, 5, 7919])
+    @pytest.mark.parametrize("ch, random_wins", [
+        # theta = 0.05 leaves the random pairs to win; at (2, 5) with M = 3
+        *((random_channel(np.random.default_rng(11), d_in, d_out), True)
+          for d_in, d_out in [(3, 3), (2, 5), (5, 3)]),
+        (StochasticChannel.identity(3), False),  # no random pair beats log2(3)
+        (tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 2), False),
+    ])
+    def test_random_pairs_match_reference_loop(self, ch, random_wins, seed):
+        kinds = set()
+        for theta in (0.05, 0.25, 0.45):
+            for n_random in (0, 1, 200):
+                res = constrained_holevo(ch, theta, n_random=n_random, seed=seed)
+                best, witness = reference_constrained_holevo(ch, theta, n_random, seed)
+                assert res.bits == best
+                assert res.witness == witness
+                assert res.message_count == witness["message_count"]
+                kinds.add(witness["kind"])
+        assert ("random" in kinds) == random_wins
+
+    def test_tied_random_pairs_keep_the_incumbent(self):
+        # with one message every pair scores exactly 0, as the trivial witness does
+        res = constrained_holevo(random_channel(np.random.default_rng(4), 3, 3), 0.25,
+                                 max_messages=1, n_random=50)
+        assert res.bits == 0.0
+        assert res.witness == {"kind": "trivial", "message_count": 1}
+
+    def test_one_scoring_call_per_batch(self, monkeypatch):
+        # one call per deterministic batch and per M drawn (at most 4 of
+        # them); a per-pair scoring loop would make 200 more
+        ch = random_channel(np.random.default_rng(3), 3, 4)
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return _mutual_information_bits(t)
+
+        monkeypatch.setattr(asymptotics, "_mutual_information_bits", counted)
+        constrained_holevo(ch, 0.25, n_random=200)
+        deterministic = sum(1 for _ in _codebook_batches(ch, range(1, ch.dim_in + 1)))
+        assert len(calls) <= deterministic + max(ch.dim_in, ch.dim_out)
+
     def test_matches_unconstrained_at_loose_theta(self, rng):
         # reported consistency: loose constraints recover the capacity
         # within search slack
@@ -187,6 +261,19 @@ class TestConstrainedHolevo:
             cap = shannon_capacity(ch).bits
             loose = constrained_holevo(ch, 0.45, n_random=400).bits
             assert loose >= cap - 0.15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_flat_dirichlet_matches_numpy(seed):
+    # k >= 9 rows tell the running sum numpy uses from a pairwise sum
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(1, 21):
+        for n in range(1, 21):
+            assert ours.integers(1, 21) == theirs.integers(1, 21)
+            got = _flat_dirichlet(ours.standard_exponential(n * k).reshape(n, k))
+            want = theirs.dirichlet(np.ones(k), size=n)
+            assert got.tobytes() == want.tobytes()
+            assert ours.random() == theirs.random()
 
 
 class TestRegularizedSeries:

@@ -289,6 +289,12 @@ class TestExtractionProtocol:
             # quadrupling the step count at least halves the slack
             assert slack4 <= 0.5 * slack + 2e-3
 
+    def test_zero_work_is_positive_zero(self):
+        # the state is the Gibbs state, so every work atom is zero
+        res = extractable_work(Distribution([0.5, 0.5]), Hamiltonian([0.0, 0.0]), 0.1)
+        assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+        assert [math.copysign(1.0, w) for w in res.window] == [1.0, 1.0]
+
     def test_equilibrium_state_bounded_by_slack(self):
         # starting from thermal equilibrium the gain stays inside
         # [0, ln(1/(1-eps))] even when eps allows excluding levels
@@ -357,6 +363,11 @@ class TestWorkFromCorrelation:
         q = random_distribution(rng, 2)
         res = work_from_correlation(JointDistribution.from_outer(p, q), eps=0.2)
         assert res.value <= math.log(1.0 / 0.8) + 1e-6
+
+    def test_uniform_product_extracts_positive_zero(self):
+        uniform = Distribution([0.5, 0.5])
+        res = work_from_correlation(JointDistribution.from_outer(uniform, uniform), eps=0.1)
+        assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
 
     def test_maximally_correlated_pairs(self):
         res = work_from_correlation(maximally_correlated(2), eps=0.05)
