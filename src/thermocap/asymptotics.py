@@ -21,6 +21,7 @@ from .coding import (
 )
 from .core import (
     _count,
+    _runs,
     ConvergenceError,
     Distribution,
     SearchSpaceTooLargeError,
@@ -72,7 +73,7 @@ def stein_series(
         raise ThermocapError("n_max is capped at 10^4")
     if np.any((p.probs > 0) & (q.probs == 0)):
         raise SupportViolationError("support(p) must lie inside support(q)")
-    grid = np.unique(np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int))
+    grid, _ = _runs(np.sort(np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)))
     grid = grid[grid >= 1]
     points = tuple(
         (int(n), hypothesis_testing_entropy_iid_binary(p, q, eps, int(n)) / float(n))

@@ -23,8 +23,10 @@ from .core import (
     JointDistribution,
     ThermocapError,
     ZeroMarginalError,
+    _count,
     _freeze,
     _gibbs_probs,
+    _runs,
     gibbs_state,
 )
 from .entropy import smoothed_renyi0
@@ -61,6 +63,12 @@ class WorkProcess:
         object.__setattr__(self, "levels", _freeze(levels))
 
 
+def _strictly_ascending(values: np.ndarray) -> bool:
+    """True when each value exceeds the one before it (False at a tie,
+    -0.0 beside 0.0, or a NaN)."""
+    return bool((values[1:] > values[:-1]).all())
+
+
 @dataclass(frozen=True)
 class WorkDistribution:
     """Distribution of the total work cost, in units of k_B*T.
@@ -83,11 +91,18 @@ class WorkDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if values.shape != probs.shape or values.ndim != 1:
             raise ThermocapError("values and probs must be matching vectors")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        total = probs.sum()
+        if abs(float(total) - 1.0) > 1e-9:
             raise ThermocapError("work distribution must be normalised")
-        order = np.argsort(values)
-        object.__setattr__(self, "values", values[order])
-        object.__setattr__(self, "probs", probs[order] / probs.sum())
+        if _strictly_ascending(values):
+            # what every internal producer hands over: the argsort below
+            # would be the identity
+            object.__setattr__(self, "values", values.copy())
+            object.__setattr__(self, "probs", probs / total)
+        else:
+            order = np.argsort(values)
+            object.__setattr__(self, "values", values[order])
+            object.__setattr__(self, "probs", probs[order] / total)
 
     @property
     def mean(self) -> float:
@@ -146,8 +161,10 @@ def _segments(proc: WorkProcess, eta: Distribution) -> list:
     sizes = np.bincount(run, minlength=gaps.shape[0])[moving]
     ends = np.cumsum(sizes)
     spread = values[ends - 1] - values[ends - sizes]
-    segments = list(zip(np.split(values, ends[:-1]), np.split(probs, ends[:-1])))
-    return [segments[i] for i in np.argsort(spread, kind="stable")]
+    bounds = ends.tolist()
+    starts = [0] + bounds[:-1]
+    return [(values[starts[i]:bounds[i]], probs[starts[i]:bounds[i]])
+            for i in np.argsort(spread, kind="stable").tolist()]
 
 
 def _convolve_exact(values, probs, seg_values, seg_probs):
@@ -176,22 +193,34 @@ def _convolve_exact(values, probs, seg_values, seg_probs):
         # row-major order, so each group is summed in that layout
         out_probs = np.bincount(group.reshape(seg_values.size, -1).T.ravel(),
                                 weights=(probs[:, None] * seg_probs[None, :]).ravel())
+    if out_probs.min() > _PRUNE_TOL:
+        return sums, out_probs
     keep = out_probs > _PRUNE_TOL
     return sums[keep], out_probs[keep]
 
 
-def _dense_convolve(offset: int, dense: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
-    lo, hi = int(shifts.min()), int(shifts.max())
-    out = np.zeros(dense.size + (hi - lo))
+def _dense_convolve(offset: int, dense: np.ndarray, shifts: list, weights: list):
+    """Grid convolution of the window `dense`, which starts at cell `offset`,
+    with one increment: ascending int cell shifts and their float weights."""
+    lo = shifts[0]
+    n = dense.size
+    out = np.zeros(n + (shifts[-1] - lo))
     for s, w in zip(shifts, weights):
-        start = int(s) - lo
-        out[start : start + dense.size] += w * dense
+        start = s - lo
+        out[start : start + n] += w * dense
     # trim negligible tails, tracking the window offset
-    nz = np.flatnonzero(out > _PRUNE_TOL)
-    if nz.size == 0:
+    live = out > _PRUNE_TOL
+    first = int(live.argmax())
+    if not live[first]:
         raise ThermocapError("work distribution lost all mass; pruning bug")
-    out = out[nz[0] : nz[-1] + 1]
-    return offset + lo + int(nz[0]), out
+    stop = out.size - int(live[::-1].argmax())
+    return offset + lo + first, out[first:stop]
+
+
+def _check_budgets(atom_budget, mc_trajectories):
+    """The budgets as ints: at least one atom, and zero or more Monte-Carlo
+    trajectories (zero disables the fallback)."""
+    return _count(atom_budget, "atom_budget"), _count(mc_trajectories, "mc_trajectories", low=0)
 
 
 def work_distribution(
@@ -209,6 +238,7 @@ def work_distribution(
     the convolution continues exactly on the grid.  If even the grid window
     explodes, a seeded Monte-Carlo histogram is returned instead.
     """
+    atom_budget, mc_trajectories = _check_budgets(atom_budget, mc_trajectories)
     if resolution is not None and not 0.0 < resolution < math.inf:
         raise ThermocapError("resolution must be finite and positive")
     res = resolution if resolution is not None else 1e-3
@@ -226,15 +256,20 @@ def work_distribution(
     idx = np.round(values / res).astype(np.int64)
     offset = int(idx.min())
     dense = np.bincount(idx - offset, weights=probs)
-    for seg_values, seg_probs in segments[n_exact:]:
-        shifts = np.round(seg_values / res).astype(np.int64)
-        if dense.size + int(shifts.max() - shifts.min()) > _DENSE_CAP:
+    # the grid cells of every remaining increment in one pass; rounding is
+    # monotone, so each increment's shifts ascend like its values
+    rest = segments[n_exact:]
+    stops = np.cumsum([seg_values.size for seg_values, _ in rest]).tolist()
+    shifts = np.round(np.concatenate([v for v, _ in rest]) / res).astype(np.int64).tolist()
+    weights = np.concatenate([p for _, p in rest]).tolist()
+    for start, stop in zip([0] + stops[:-1], stops):
+        if dense.size + (shifts[stop - 1] - shifts[start]) > _DENSE_CAP:
             if mc_trajectories < 1:
                 raise AtomBudgetExceededError(
                     "grid convolution outgrew the cap and Monte-Carlo is disabled"
                 )
             return _monte_carlo_distribution(segments, res, mc_trajectories, seed)
-        offset, dense = _dense_convolve(offset, dense, shifts, seg_probs)
+        offset, dense = _dense_convolve(offset, dense, shifts[start:stop], weights[start:stop])
     keep = dense > 0.0
     grid = (offset + np.flatnonzero(keep)) * res
     return WorkDistribution(values=grid, probs=dense[keep], mode="binned", resolution=res)
@@ -246,8 +281,7 @@ def _monte_carlo_distribution(segments, res, n, seed):
     for seg_values, seg_probs in segments:
         draws = rng.choice(seg_values.size, size=n, p=seg_probs / seg_probs.sum())
         totals += seg_values[draws]
-    idx = np.round(totals / res).astype(np.int64)
-    uniq, counts = np.unique(idx, return_counts=True)
+    uniq, counts = _runs(np.sort(np.round(totals / res).astype(np.int64)))
     dkw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
     return WorkDistribution(
         values=uniq * res,
@@ -270,10 +304,13 @@ def _gain_cdf(wd: WorkDistribution, eps: float):
     (led by 0) and the mass a qualifying window must exceed."""
     if not 0.0 < eps < 1.0:
         raise ThermocapError("eps must lie in (0, 1)")
-    order = np.argsort(-wd.values)
     # 0.0 - w, not -w: a zero-work atom is the gain +0.0
-    gains = 0.0 - wd.values[order]
-    probs = wd.probs[order]
+    if _strictly_ascending(wd.values):
+        # argsort(-values) would be the reversal
+        gains, probs = 0.0 - wd.values[::-1], wd.probs[::-1]
+    else:
+        order = np.argsort(-wd.values)
+        gains, probs = 0.0 - wd.values[order], wd.probs[order]
     cum = np.concatenate([[0.0], np.cumsum(probs)])
     return gains, probs, cum, (1.0 - eps) - 1e-12
 
@@ -451,6 +488,7 @@ def extractable_work(
     """
     if delta is not None:
         _check_delta(delta)
+    _check_budgets(atom_budget, mc_trajectories)
     proc, d0 = extraction_protocol(eta, h, eps, e_cut=e_cut, k_steps=k_steps, schedule=schedule)
     resolution = min(delta / 10.0, 1e-3) if delta else 1e-4
     wd = work_distribution(

@@ -299,12 +299,16 @@ class TestAsymptoticsCommands:
 
     def test_runtime_loads_no_scipy(self, files):
         # numpy is the only runtime dependency: a fresh process answering
-        # stein and D_H questions through the CLI never imports scipy
+        # stein, D_H and work questions through the CLI never imports scipy,
+        # nor numpy.ma (which np.unique pulls in on first use)
         u2 = _write(files["tmp"], "u2.json", {"probs": [0.5, 0.5]})
         argvs = [
             ["asymptotics", "stein", "--p", files["state2"], "--q", u2, "--eps", "0.05",
              "--nmax", "200"],
             ["entropy", "dh", "--p", files["pointmass4"], "--q", files["uniform4"], "--eps", "0.1"],
+            ["workext", "--state", files["state2"], "--hamiltonian", files["ham2"],
+             "--eps", "0.15"],
+            ["wcorr", "--joint", files["phi2"], "--eps", "0.05"],
         ]
         script = (
             "import json, sys\n"
@@ -312,6 +316,7 @@ class TestAsymptoticsCommands:
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argvs)],
@@ -372,6 +377,13 @@ class TestErrorPaths:
         # chi-bar's message cap is checked as capacity's is
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "0"],
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "-1"],
+        # the work budgets: at least one atom, no negative trajectory count
+        ["--budget-atoms", "0", "workext", "--state", "state2", "--hamiltonian", "ham2",
+         "--eps", "0.15"],
+        ["--budget-atoms", "-5", "wcorr", "--joint", "phi2", "--eps", "0.05"],
+        ["--budget-samples", "-1", "workext", "--state", "state2", "--hamiltonian", "ham2",
+         "--eps", "0.15"],
+        ["--budget-samples", "-1", "wcorr", "--joint", "phi2", "--eps", "0.05"],
     ])
     def test_bad_argument(self, capsys, files, argv):
         code, out, err = _run(capsys, _with_files(argv, files))

@@ -243,6 +243,36 @@ class TestWorkInputs:
         with pytest.raises(ThermocapError):
             eps_delta_work(wd, 0.15, delta)
 
+    @pytest.mark.parametrize("budgets", [
+        {"atom_budget": -5}, {"atom_budget": 0}, {"atom_budget": 2.5},
+        {"atom_budget": True}, {"atom_budget": "10"}, {"atom_budget": None},
+        {"mc_trajectories": -1}, {"mc_trajectories": 2.5}, {"mc_trajectories": True},
+        {"mc_trajectories": "10"}, {"mc_trajectories": None},
+    ])
+    def test_bad_budgets_rejected_before_the_protocol(self, monkeypatch, budgets):
+        (name,) = budgets
+        proc, eta = _random_quench_process()
+        with pytest.raises(ThermocapError, match=name):
+            work_distribution(proc, eta, **budgets)
+
+        def never(*args, **kwargs):
+            raise AssertionError("protocol built for an invalid budget")
+
+        monkeypatch.setattr(thermo, "extraction_protocol", never)
+        with pytest.raises(ThermocapError, match=name):
+            extractable_work(Distribution([0.9, 0.1]), Hamiltonian([0.0, 0.0]), 0.15, **budgets)
+        with pytest.raises(ThermocapError, match=name):
+            work_from_correlation(maximally_correlated(2), 0.15, **budgets)
+
+    def test_budget_limits_and_numpy_integers_accepted(self):
+        proc, eta = _random_quench_process()
+        want = work_distribution(proc, eta, atom_budget=50)
+        for budgets in ({"atom_budget": np.int64(50)}, {"atom_budget": 50, "mc_trajectories": 0},
+                        {"atom_budget": 50, "mc_trajectories": np.int32(7)}):
+            got = work_distribution(proc, eta, **budgets)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
+        assert work_distribution(proc, eta, atom_budget=1).mode == "binned"
 
     @pytest.mark.parametrize("e_cut", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_e_cut_rejected(self, e_cut):
@@ -706,3 +736,220 @@ class TestProtocolLevels:
             assert proc.levels.shape == (k + 3, 3)
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+
+def loop_dense_convolve(offset, dense, shifts, weights):
+    """The grid stage the one-pass shifts and the index-free trim replaced,
+    kept as its reference: shifts and weights are the increment's arrays."""
+    lo, hi = int(shifts.min()), int(shifts.max())
+    out = np.zeros(dense.size + (hi - lo))
+    for s, w in zip(shifts, weights):
+        start = int(s) - lo
+        out[start : start + dense.size] += w * dense
+    nz = np.flatnonzero(out > thermo._PRUNE_TOL)
+    if nz.size == 0:
+        raise ThermocapError("work distribution lost all mass; pruning bug")
+    out = out[nz[0] : nz[-1] + 1]
+    return offset + lo + int(nz[0]), out
+
+
+def loop_monte_carlo(segments, res, n, seed):
+    """The Monte-Carlo histogram as np.unique counted it."""
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(n)
+    for seg_values, seg_probs in segments:
+        draws = rng.choice(seg_values.size, size=n, p=seg_probs / seg_probs.sum())
+        totals += seg_values[draws]
+    uniq, counts = np.unique(np.round(totals / res).astype(np.int64), return_counts=True)
+    return uniq * res, counts / n
+
+
+def argsort_atoms(values, probs):
+    """What WorkDistribution stored before sorted values skipped the sort."""
+    values, probs = np.asarray(values, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+    order = np.argsort(values)
+    return values[order], probs[order] / probs.sum()
+
+
+def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution=None,
+                           mc_trajectories=100_000, seed=0):
+    """work_distribution with each grid stage rounding its own shifts, as
+    before the one-pass grid phase; returns (values, probs, mode, resolution,
+    grid stages run).  The exact phase is thermo._convolve_exact, which
+    TestConvolveExact pins to its own reference."""
+    res = resolution if resolution is not None else 1e-3
+    segments = thermo._segments(proc, eta)
+    values, probs = np.zeros(1), np.ones(1)
+    for n_exact, (seg_values, seg_probs) in enumerate(segments):
+        if values.size * seg_values.size > atom_budget:
+            break
+        values, probs = thermo._convolve_exact(values, probs, seg_values, seg_probs)
+    else:
+        return (*argsort_atoms(values, probs), "exact", None, 0)
+    idx = np.round(values / res).astype(np.int64)
+    offset = int(idx.min())
+    dense = np.bincount(idx - offset, weights=probs)
+    for stage, (seg_values, seg_probs) in enumerate(segments[n_exact:]):
+        shifts = np.round(seg_values / res).astype(np.int64)
+        if dense.size + int(shifts.max() - shifts.min()) > thermo._DENSE_CAP:
+            return (*argsort_atoms(*loop_monte_carlo(segments, res, mc_trajectories, seed)),
+                    "monte_carlo", res, stage)
+        offset, dense = loop_dense_convolve(offset, dense, shifts, seg_probs)
+    keep = dense > 0.0
+    grid = (offset + np.flatnonzero(keep)) * res
+    return (*argsort_atoms(grid, dense[keep]), "binned", res, len(segments) - n_exact)
+
+
+def loop_gain_cdf(wd, eps):
+    """_gain_cdf's gains, probs and cumulative mass by argsort(-values)."""
+    order = np.argsort(-wd.values)
+    gains, probs = 0.0 - wd.values[order], wd.probs[order]
+    return gains, probs, np.concatenate([[0.0], np.cumsum(probs)])
+
+
+def _count_grid_stages(monkeypatch):
+    calls = []
+    dense_convolve = thermo._dense_convolve
+
+    def counting(*args):
+        calls.append(None)
+        return dense_convolve(*args)
+
+    monkeypatch.setattr(thermo, "_dense_convolve", counting)
+    return calls
+
+
+def _assert_pipeline_matches(monkeypatch, proc, eta, eps, **kwargs):
+    stages = _count_grid_stages(monkeypatch)
+    wd = work_distribution(proc, eta, **kwargs)
+    values, probs, mode, resolution, want_stages = loop_work_distribution(proc, eta, **kwargs)
+    assert wd.values.tobytes() == values.tobytes()
+    assert wd.probs.tobytes() == probs.tobytes()
+    assert (wd.mode, wd.resolution, len(stages)) == (mode, resolution, want_stages)
+    for got, want in zip(thermo._gain_cdf(wd, eps), loop_gain_cdf(wd, eps)):
+        assert got.tobytes() == want.tobytes()
+    return wd
+
+
+class TestWorkPipeline:
+    """The work pipeline against the per-stage reference, bit for bit."""
+
+    @pytest.mark.parametrize("schedule", ["angle", "weight", "energy"])
+    def test_extraction_processes_match_the_reference(self, monkeypatch, schedule):
+        rng = np.random.default_rng(16)
+        modes = set()
+        for d in (2, 5, 16):
+            for k_steps in (400, 800):
+                eta = Distribution(rng.dirichlet(np.full(d, 0.5)))
+                h = Hamiltonian(rng.uniform(0.0, 3.0, size=d))
+                eps = float(rng.uniform(0.05, 0.25))
+                proc, _ = extraction_protocol(eta, h, eps, k_steps=k_steps, schedule=schedule)
+                # the grids extractable_work uses with delta=None and with delta
+                for resolution in (1e-4, float(rng.uniform(0.2, 0.5)) / 10.0):
+                    # forced binning early and late, and the default budget
+                    # where it stays cheap
+                    budgets = (10, 1000) + ((thermo.ATOM_BUDGET,) if d == 2 else ())
+                    for atom_budget in budgets:
+                        wd = _assert_pipeline_matches(monkeypatch, proc, eta, eps,
+                                                      atom_budget=atom_budget,
+                                                      resolution=resolution)
+                        modes.add(wd.mode)
+        assert "binned" in modes
+
+    def test_random_quench_process_matches_the_reference(self, monkeypatch):
+        proc, eta = _random_quench_process()
+        short = WorkProcess(proc.levels[[0, 1, 2, 3, 4, -1]])
+        modes = [_assert_pipeline_matches(monkeypatch, p, eta, 0.1, atom_budget=budget).mode
+                 for p in (proc, short) for budget in (1, 10, 50, 1000, thermo.ATOM_BUDGET)]
+        assert modes == ["binned"] * 5 + ["binned"] * 3 + ["exact"] * 2
+
+    @pytest.mark.parametrize("cap", [2_000, 6_000])
+    def test_small_grid_cap_switches_at_the_same_stage(self, monkeypatch, cap):
+        monkeypatch.setattr(thermo, "_DENSE_CAP", cap)
+        eta = Distribution([0.55, 0.25, 0.15, 0.05])
+        h = Hamiltonian([0.0, 0.4, 1.1, 2.0])
+        proc, _ = extraction_protocol(eta, h, 0.1, k_steps=400)
+        wd = _assert_pipeline_matches(monkeypatch, proc, eta, 0.1, atom_budget=1000,
+                                      resolution=1e-4, mc_trajectories=3000, seed=9)
+        assert wd.mode == "monte_carlo"
+        # the window outgrew the cap part way through the grid phase
+        stages = _count_grid_stages(monkeypatch)
+        work_distribution(proc, eta, atom_budget=1000, resolution=1e-4, mc_trajectories=3000)
+        assert stages
+
+    @pytest.mark.parametrize("shifts, weights", [
+        ([0, 4, 8], [1e-20, 1.0 - 2e-20, 1e-20]),  # both tails trimmed
+        ([0, 4, 8], [1e-20, 0.5, 0.5]),  # left tail only
+        ([0, 4, 8], [0.5, 0.5, 1e-20]),  # right tail only
+        ([3, 3, 5], [0.25, 0.25, 0.5]),  # tied shifts, nothing trimmed
+        ([-2], [1.0]),
+    ])
+    def test_trim_matches_the_flatnonzero_reference(self, shifts, weights):
+        tol = thermo._PRUNE_TOL
+        # interior cells below the tolerance stay, only the tails go
+        dense = np.array([0.3, 0.2 * tol, 0.4, 0.0, 0.3 - 0.2 * tol])
+        got = thermo._dense_convolve(7, dense, shifts, weights)
+        want = loop_dense_convolve(7, dense, np.array(shifts), np.array(weights))
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_lost_mass_raises(self):
+        with pytest.raises(ThermocapError, match="lost all mass"):
+            thermo._dense_convolve(0, np.array([1e-10]), [0, 1], [1e-10, 1e-10])
+
+
+class TestSortedValues:
+    @pytest.mark.parametrize("values", [
+        [0.3, -1.0, 2.0, 0.5],
+        [0.5, 0.5, -1.0, 0.5, 2.0],
+        [0.0, -0.0, 1.0, -0.0, 0.0],
+        [-0.0, 0.0],
+        [1.0, math.nan, -1.0, 0.5],
+        [-1.0, 0.25, 2.0],
+        [7.0],
+    ])
+    def test_matches_the_argsort_path(self, values):
+        probs = np.arange(1.0, len(values) + 1.0)
+        probs /= probs.sum()
+        wd = WorkDistribution(values=np.array(values), probs=probs, mode="exact")
+        want_values, want_probs = argsort_atoms(values, probs)
+        assert wd.values.tobytes() == want_values.tobytes()
+        assert wd.probs.tobytes() == want_probs.tobytes()
+
+    def test_many_ties_match_the_argsort_path(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 20, 500):
+            values = np.round(rng.normal(size=n), 1) * rng.choice([1.0, -1.0], size=n)
+            values[rng.random(n) < 0.2] = 0.0 * -1.0
+            probs = rng.dirichlet(np.ones(n))
+            wd = WorkDistribution(values=values, probs=probs, mode="exact")
+            want_values, want_probs = argsort_atoms(values, probs)
+            assert wd.values.tobytes() == want_values.tobytes()
+            assert wd.probs.tobytes() == want_probs.tobytes()
+            for got, want in zip(thermo._gain_cdf(wd, 0.1), loop_gain_cdf(wd, 0.1)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [[-1.0, 0.5, 2.0], [2.0, -1.0, 0.5]])
+    def test_values_are_a_copy(self, values):
+        values, probs = np.array(values), np.array([0.2, 0.3, 0.5])
+        wd = WorkDistribution(values=values, probs=probs, mode="exact")
+        stored = wd.values.tobytes(), wd.probs.tobytes()
+        values[:] = 9.0
+        probs[:] = 1.0 / 3.0
+        assert (wd.values.tobytes(), wd.probs.tobytes()) == stored
+        assert wd.values.tolist() == [-1.0, 0.5, 2.0]
+
+    @pytest.mark.parametrize("values", [
+        [-1.0, 0.5, 0.5, 0.5, 2.0],
+        [-0.0, 0.0, 0.0, -0.0, 1.0],
+        [3.0, 3.0],
+    ])
+    def test_gain_cdf_on_ties_matches_the_argsort_path(self, values):
+        probs = np.arange(1.0, len(values) + 1.0)
+        probs /= probs.sum()
+        wd = WorkDistribution(values=np.array(values), probs=probs, mode="exact")
+        gains, got_probs, cum, _ = thermo._gain_cdf(wd, 0.1)
+        want = loop_gain_cdf(wd, 0.1)
+        assert gains.tobytes() == want[0].tobytes()
+        assert got_probs.tobytes() == want[1].tobytes()
+        assert cum.tobytes() == want[2].tobytes()
