@@ -7,7 +7,6 @@ labelled as a bracket rather than silently trusted.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +179,10 @@ def constrained_holevo(
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
-    if max_messages is not None and (not isinstance(max_messages, numbers.Integral)
-                                     or max_messages < 1):
-        raise ThermocapError("max_messages must be an integer >= 1")
+    cap = max(ch.dim_in, ch.dim_out)
+    if max_messages is not None:
+        cap = _count(max_messages, "max_messages")
     n_random = _count(n_random, "n_random", low=0)
-    cap = max(ch.dim_in, ch.dim_out) if max_messages is None else max_messages
     rng = np.random.default_rng(seed)
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}

@@ -33,6 +33,7 @@ from .core import (
     NoFeasibleCodebookError,
     StochasticChannel,
     ThermocapError,
+    _count,
 )
 from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
 from .thermo import work_from_correlation
@@ -348,8 +349,7 @@ def landauer_scenario(
     empirical bipartite output into correlation work extraction; the report
     compares the extracted work against bits * ln2.
     """
-    if trials < 2:
-        raise ThermocapError("needs at least two trials")
+    trials = _count(trials, "trials", low=2)
     cap = one_shot_capacity(ch, eps)
     m = cap.codebook.message_count
     if m < 2:
@@ -377,7 +377,7 @@ def landauer_scenario(
     counts = np.zeros((m, m))
     np.add.at(counts, (outs_w, msgs_w), 1.0)
     joint = JointDistribution(counts / work_trials)
-    work = work_from_correlation(joint, eps, seed=seed)
+    work = work_from_correlation(joint, eps)
 
     sigma = math.sqrt(max(exact_ps * (1.0 - exact_ps), 0.0) / decode_trials)
     three_sigma = 3.0 * sigma

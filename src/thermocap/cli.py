@@ -151,7 +151,8 @@ def build_parser() -> _Parser:
                         help="rescale k_B*T work outputs by this temperature")
     parser.add_argument("--budget-codebooks", type=int, default=CODEBOOK_BUDGET)
     parser.add_argument("--budget-atoms", type=int, default=ATOM_BUDGET)
-    parser.add_argument("--budget-samples", type=int, default=100_000)
+    parser.add_argument("--budget-samples", type=int, default=100_000,
+                        help="codebooks drawn by a randomized capacity search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     entropy = sub.add_parser("entropy", help="entropic quantities of two distributions")
@@ -279,8 +280,7 @@ def _run_capacity(args):
 
 def _work_options(args) -> dict:
     return dict(e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule,
-                atom_budget=args.budget_atoms, mc_trajectories=args.budget_samples,
-                seed=args.seed)
+                atom_budget=args.budget_atoms)
 
 
 def _run_workext(args):
@@ -336,6 +336,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if not (math.isfinite(args.temperature) and args.temperature > 0.0):
             raise _UsageError("--temperature must be finite and positive")
+        if args.budget_samples < 0:
+            raise _UsageError("--budget-samples must be at least 0")
         params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, cls in _INPUTS.items():
             if name in params:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +23,7 @@ from .core import (
     SearchSpaceTooLargeError,
     StochasticChannel,
     ThermocapError,
+    _count,
     trace_distance,
 )
 
@@ -249,10 +249,10 @@ def _search_randomized(ch, eps, theta, m_cap, samples, seed):
 
 
 def _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed):
-    if max_messages is not None and (not isinstance(max_messages, numbers.Integral)
-                                     or max_messages < 1):
-        raise ThermocapError("max_messages must be an integer >= 1")
-    m_cap = ch.dim_in if max_messages is None else min(max_messages, ch.dim_in)
+    samples = _count(samples, "samples", low=0)
+    m_cap = ch.dim_in
+    if max_messages is not None:
+        m_cap = min(_count(max_messages, "max_messages"), ch.dim_in)
     if randomized:
         cb = _search_randomized(ch, eps, theta, m_cap, samples, seed)
     else:

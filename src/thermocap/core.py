@@ -44,10 +44,6 @@ class SearchSpaceTooLargeError(ThermocapError):
     pass
 
 
-class AtomBudgetExceededError(ThermocapError):
-    pass
-
-
 class NoFeasibleCodebookError(ThermocapError):
     pass
 

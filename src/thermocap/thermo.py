@@ -3,20 +3,20 @@
 Processes alternate instantaneous level transformations (work cost equal to
 the energy-gap random variable) with free thermalisations; a process is kept
 as the levels it thermalises at.  Work random variables are computed exactly
-by convolving the independent per-stage increments, with grid binning and a
-seeded Monte-Carlo fallback once atom counts get out of hand.
+by convolving the independent per-stage increments.  Once the atoms outgrow
+their budget the convolution moves to a value grid, and a grid window that
+would outgrow its cap doubles the grid step until it fits; such an answer
+carries the bound on how far the grid moved the work.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     LN2,
-    AtomBudgetExceededError,
     Distribution,
     DimensionMismatchError,
     Hamiltonian,
@@ -26,7 +26,6 @@ from .core import (
     _count,
     _freeze,
     _gibbs_probs,
-    _runs,
     gibbs_state,
 )
 from .entropy import smoothed_renyi0
@@ -74,17 +73,16 @@ class WorkDistribution:
     """Distribution of the total work cost, in units of k_B*T.
 
     mode is one of "exact", "binned" (exact convolution on a value grid of
-    the given resolution) or "monte_carlo" (empirical histogram; the DKW
-    99%-confidence sup-CDF error is attached).
+    the given resolution) or "coarsened" (binned on a grid whose step was
+    doubled to keep the window within its cap; every trajectory's work is
+    within grid_error of its value on the grid).
     """
 
     values: np.ndarray
     probs: np.ndarray
     mode: str
     resolution: float | None = None
-    n_samples: int | None = None
-    seed: int | None = None
-    cdf_error: float | None = None
+    grid_error: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -119,10 +117,8 @@ class WorkDistribution:
         }
         if self.resolution is not None:
             out["resolution"] = self.resolution
-        if self.mode == "monte_carlo":
-            out["n_samples"] = self.n_samples
-            out["seed"] = self.seed
-            out["cdf_error_99"] = self.cdf_error
+        if self.mode == "coarsened":
+            out["grid_error"] = self.grid_error
         return out
 
 
@@ -201,12 +197,13 @@ def _convolve_exact(values, probs, seg_values, seg_probs):
 
 def _dense_convolve(offset: int, dense: np.ndarray, shifts: list, weights: list):
     """Grid convolution of the window `dense`, which starts at cell `offset`,
-    with one increment: ascending int cell shifts and their float weights."""
+    with one increment: ascending whole-number cell shifts (ints or floats)
+    and their float weights."""
     lo = shifts[0]
     n = dense.size
-    out = np.zeros(n + (shifts[-1] - lo))
+    out = np.zeros(n + int(shifts[-1] - lo))
     for s, w in zip(shifts, weights):
-        start = s - lo
+        start = int(s - lo)
         out[start : start + n] += w * dense
     # trim negligible tails, tracking the window offset
     live = out > _PRUNE_TOL
@@ -214,13 +211,17 @@ def _dense_convolve(offset: int, dense: np.ndarray, shifts: list, weights: list)
     if not live[first]:
         raise ThermocapError("work distribution lost all mass; pruning bug")
     stop = out.size - int(live[::-1].argmax())
-    return offset + lo + first, out[first:stop]
+    return offset + int(lo) + first, out[first:stop]
 
 
-def _check_budgets(atom_budget, mc_trajectories):
-    """The budgets as ints: at least one atom, and zero or more Monte-Carlo
-    trajectories (zero disables the fallback)."""
-    return _count(atom_budget, "atom_budget"), _count(mc_trajectories, "mc_trajectories", low=0)
+def _merge_pairs(offset: int, dense: np.ndarray):
+    """The window `dense`, which starts at cell `offset`, on a grid of twice
+    the step: cell c becomes cell c // 2, so no mass moves by more than one
+    old step."""
+    pad = offset % 2
+    pairs = np.zeros(pad + dense.size + (pad + dense.size) % 2)
+    pairs[pad : pad + dense.size] = dense
+    return offset // 2, pairs[0::2] + pairs[1::2]
 
 
 def work_distribution(
@@ -228,17 +229,20 @@ def work_distribution(
     eta: Distribution,
     atom_budget: int = ATOM_BUDGET,
     resolution: float | None = None,
-    mc_trajectories: int = 100_000,
-    seed: int = 0,
 ) -> WorkDistribution:
     """Distribution of the total work cost of `proc` started in `eta`.
 
     Exact while the convolution stays inside `atom_budget` atoms; after that
     values are snapped to a grid of the given resolution (default 1e-3) and
-    the convolution continues exactly on the grid.  If even the grid window
-    explodes, a seeded Monte-Carlo histogram is returned instead.
+    the convolution continues exactly on the grid ("binned").  Where the
+    grid window would pass _DENSE_CAP cells, the step doubles until it fits
+    ("coarsened"): the window's cells merge in pairs and the increments still
+    to come are rounded at the new step.  The snap and each grid stage move
+    the work by at most half the final step and all merges together by less
+    than one step, so a coarsened result reports grid_error =
+    (grid stages + 3) * step / 2.
     """
-    atom_budget, mc_trajectories = _check_budgets(atom_budget, mc_trajectories)
+    atom_budget = _count(atom_budget, "atom_budget")
     if resolution is not None and not 0.0 < resolution < math.inf:
         raise ThermocapError("resolution must be finite and positive")
     res = resolution if resolution is not None else 1e-3
@@ -253,45 +257,35 @@ def work_distribution(
     else:
         return WorkDistribution(values=values, probs=probs, mode="exact")
 
-    idx = np.round(values / res).astype(np.int64)
-    offset = int(idx.min())
-    dense = np.bincount(idx - offset, weights=probs)
+    # cell counts stay floats until they fit the cap, so no cast overflows;
+    # the exact values ascend, and so do their cells
+    first_res = res
+    cells = np.round(values / res)
+    while cells[-1] - cells[0] >= _DENSE_CAP:
+        res *= 2.0
+        cells = np.round(values / res)
+    offset = int(cells[0])
+    dense = np.bincount((cells - cells[0]).astype(np.int64), weights=probs)
     # the grid cells of every remaining increment in one pass; rounding is
     # monotone, so each increment's shifts ascend like its values
     rest = segments[n_exact:]
     stops = np.cumsum([seg_values.size for seg_values, _ in rest]).tolist()
-    shifts = np.round(np.concatenate([v for v, _ in rest]) / res).astype(np.int64).tolist()
+    rest_values = np.concatenate([v for v, _ in rest])
+    shifts = np.round(rest_values / res).tolist()
     weights = np.concatenate([p for _, p in rest]).tolist()
     for start, stop in zip([0] + stops[:-1], stops):
-        if dense.size + (shifts[stop - 1] - shifts[start]) > _DENSE_CAP:
-            if mc_trajectories < 1:
-                raise AtomBudgetExceededError(
-                    "grid convolution outgrew the cap and Monte-Carlo is disabled"
-                )
-            return _monte_carlo_distribution(segments, res, mc_trajectories, seed)
+        while dense.size + (shifts[stop - 1] - shifts[start]) > _DENSE_CAP:
+            res *= 2.0
+            offset, dense = _merge_pairs(offset, dense)
+            shifts[start:] = np.round(rest_values[start:] / res).tolist()
         offset, dense = _dense_convolve(offset, dense, shifts[start:stop], weights[start:stop])
     keep = dense > 0.0
-    grid = (offset + np.flatnonzero(keep)) * res
-    return WorkDistribution(values=grid, probs=dense[keep], mode="binned", resolution=res)
-
-
-def _monte_carlo_distribution(segments, res, n, seed):
-    rng = np.random.default_rng(seed)
-    totals = np.zeros(n)
-    for seg_values, seg_probs in segments:
-        draws = rng.choice(seg_values.size, size=n, p=seg_probs / seg_probs.sum())
-        totals += seg_values[draws]
-    uniq, counts = _runs(np.sort(np.round(totals / res).astype(np.int64)))
-    dkw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
-    return WorkDistribution(
-        values=uniq * res,
-        probs=counts / n,
-        mode="monte_carlo",
-        resolution=res,
-        n_samples=n,
-        seed=seed,
-        cdf_error=dkw,
-    )
+    # offset, a Python int, can pass int64 where every value is far from zero
+    grid = (np.flatnonzero(keep) + float(offset)) * res
+    if res == first_res:
+        return WorkDistribution(values=grid, probs=dense[keep], mode="binned", resolution=res)
+    return WorkDistribution(values=grid, probs=dense[keep], mode="coarsened", resolution=res,
+                            grid_error=(len(rest) + 3) * res / 2.0)
 
 
 def _check_delta(delta: float) -> None:
@@ -389,8 +383,7 @@ def extraction_protocol(
         raise ThermocapError("need 0 < eps <= 1 - 1/sqrt(2)")
     if not 0.0 < e_cut < math.inf:
         raise ThermocapError("e_cut must be finite and positive")
-    if not isinstance(k_steps, numbers.Integral) or k_steps < 1:
-        raise ThermocapError("k_steps must be an integer >= 1")
+    k_steps = _count(k_steps, "k_steps")
     if schedule not in ("angle", "weight", "energy"):
         raise ThermocapError("schedule must be 'angle', 'weight' or 'energy'")
     if eta.dim != h.dim:
@@ -444,9 +437,8 @@ class WorkExtractionResult:
     distribution_mode: str
     witness_indices: tuple
     window: tuple | None = None
-    #: Monte-Carlo sample count and DKW 99% sup-CDF error, in that mode only
-    n_samples: int | None = None
-    cdf_error: float | None = None
+    #: bound on how far the coarsened grid moved the work, in that mode only
+    grid_error: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -461,8 +453,8 @@ class WorkExtractionResult:
             "witness_indices": list(self.witness_indices),
             "window_kT": list(self.window) if self.window is not None else None,
         }
-        if self.distribution_mode == "monte_carlo":
-            out.update(n_samples=self.n_samples, cdf_error_99=self.cdf_error)
+        if self.distribution_mode == "coarsened":
+            out["grid_error_kT"] = self.grid_error
         return out
 
 
@@ -475,8 +467,6 @@ def extractable_work(
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
     atom_budget: int = ATOM_BUDGET,
-    mc_trajectories: int = 100_000,
-    seed: int = 0,
 ) -> WorkExtractionResult:
     """Simulated extractable work of the quench/thermalise protocol.
 
@@ -484,21 +474,15 @@ def extractable_work(
     (eps, delta) criterion.  With delta=None the shortest gain interval of
     mass above 1 - eps is located and its conditional mean reported as the
     work level, together with the delta it realises (its largest distance
-    to the interval's edges).  The analytic bracket travels in the result.
+    to the interval's edges).  The analytic bracket travels in the result,
+    and so does the grid error of a coarsened work distribution.
     """
     if delta is not None:
         _check_delta(delta)
-    _check_budgets(atom_budget, mc_trajectories)
+    atom_budget = _count(atom_budget, "atom_budget")
     proc, d0 = extraction_protocol(eta, h, eps, e_cut=e_cut, k_steps=k_steps, schedule=schedule)
     resolution = min(delta / 10.0, 1e-3) if delta else 1e-4
-    wd = work_distribution(
-        proc,
-        eta,
-        atom_budget=atom_budget,
-        resolution=resolution,
-        mc_trajectories=mc_trajectories,
-        seed=seed,
-    )
+    wd = work_distribution(proc, eta, atom_budget=atom_budget, resolution=resolution)
     window = None
     if delta is None:
         lo, hi, value = shortest_confidence_interval(wd, eps)
@@ -518,8 +502,7 @@ def extractable_work(
         distribution_mode=wd.mode,
         witness_indices=d0.witness.indices,
         window=window,
-        n_samples=wd.n_samples,
-        cdf_error=wd.cdf_error,
+        grid_error=wd.grid_error,
     )
 
 
@@ -550,9 +533,8 @@ class WorkCorrelationResult:
     support_a: tuple
     support_b: tuple
     distribution_mode: str
-    #: Monte-Carlo sample count and DKW 99% sup-CDF error, in that mode only
-    n_samples: int | None = None
-    cdf_error: float | None = None
+    #: bound on how far the coarsened grid moved the work, in that mode only
+    grid_error: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -565,8 +547,8 @@ class WorkCorrelationResult:
             "support_b": list(self.support_b),
             "distribution_mode": self.distribution_mode,
         }
-        if self.distribution_mode == "monte_carlo":
-            out.update(n_samples=self.n_samples, cdf_error_99=self.cdf_error)
+        if self.distribution_mode == "coarsened":
+            out["grid_error_kT"] = self.grid_error
         return out
 
 
@@ -578,8 +560,6 @@ def work_from_correlation(
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
     atom_budget: int = ATOM_BUDGET,
-    mc_trajectories: int = 100_000,
-    seed: int = 0,
 ) -> WorkCorrelationResult:
     """Extractable work from a bipartite table's correlation.
 
@@ -599,8 +579,6 @@ def work_from_correlation(
         k_steps=k_steps,
         schedule=schedule,
         atom_budget=atom_budget,
-        mc_trajectories=mc_trajectories,
-        seed=seed,
     )
     return WorkCorrelationResult(
         value=res.value,
@@ -611,6 +589,5 @@ def work_from_correlation(
         support_a=tuple(int(i) for i in keep_a),
         support_b=tuple(int(i) for i in keep_b),
         distribution_mode=res.distribution_mode,
-        n_samples=res.n_samples,
-        cdf_error=res.cdf_error,
+        grid_error=res.grid_error,
     )

@@ -156,7 +156,7 @@ class TestConstrainedHolevo:
             constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
                                max_messages=max_messages)
 
-    @pytest.mark.parametrize("max_messages", [2.5, 2.0])
+    @pytest.mark.parametrize("max_messages", [2.5, 2.0, True])
     def test_non_integral_max_messages_rejected(self, max_messages):
         with pytest.raises(ThermocapError, match="max_messages"):
             constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,

@@ -162,6 +162,17 @@ class TestLandauerScenario:
         b = landauer_scenario(StochasticChannel.identity(3), 0.05, 5000, seed=7)
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("trials", [1, 0, -4, 20.5, 2000.0, True, "2000"])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(ThermocapError, match="trials must be an integer >= 2"):
+            landauer_scenario(StochasticChannel.identity(3), 0.05, trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        ch = StochasticChannel.identity(3)
+        got = landauer_scenario(ch, 0.05, np.int64(2000), seed=7).to_dict()
+        assert got == landauer_scenario(ch, 0.05, 2000, seed=7).to_dict()
+        assert type(got["trials"]) is int
+
 
 class TestSearchFamily:
     @pytest.mark.parametrize("ch", [

@@ -176,6 +176,12 @@ class TestCapacityCommand:
         assert report["result"]["codebook_inputs"] == [0, 1, 2, 3]
 
 
+def _four_level_workext(tmp_path, e_cut):
+    state = _write(tmp_path, "state4.json", {"probs": [0.55, 0.25, 0.15, 0.05]})
+    ham = _write(tmp_path, "ham4.json", {"levels": [0.0, 0.4, 1.1, 2.0], "units": "kT"})
+    return ["workext", "--state", state, "--hamiltonian", ham, "--eps", "0.1", "--ecut", e_cut]
+
+
 class TestWorkCommands:
     def test_workext(self, capsys, files):
         code, out, _ = _run(capsys, ["workext", "--state", files["state2"],
@@ -210,6 +216,25 @@ class TestWorkCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "e_cut" in err
+
+    @pytest.mark.parametrize("delta", [[], ["--delta", "0.1"]])
+    def test_huge_cut_energy_answers_coarsened(self, capsys, files, delta):
+        # 1e16 kT is 1e20 cells of the starting grid, more than an int64 holds
+        code, out, err = _run(capsys, _four_level_workext(files["tmp"], "1e16") + delta)
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["distribution_mode"] == "coarsened"
+        assert 0.0 < result["grid_error_kT"] < math.inf
+
+    def test_coarsened_answer_does_not_depend_on_the_seed(self, capsys, files):
+        argv = _four_level_workext(files["tmp"], "2000")
+        results = []
+        for seed in ("0", "5"):
+            code, out, _ = _run(capsys, ["--seed", seed] + argv)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0]["distribution_mode"] == "coarsened"
+        assert json.dumps(results[0]) == json.dumps(results[1])
 
     def test_wcorr_with_temperature(self, capsys, files):
         code, out, _ = _run(capsys, ["--temperature", "2.0", "wcorr", "--joint", files["phi2"],
@@ -377,13 +402,16 @@ class TestErrorPaths:
         # chi-bar's message cap is checked as capacity's is
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "0"],
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "-1"],
-        # the work budgets: at least one atom, no negative trajectory count
+        # the work budget: at least one atom; and no negative sample budget
         ["--budget-atoms", "0", "workext", "--state", "state2", "--hamiltonian", "ham2",
          "--eps", "0.15"],
         ["--budget-atoms", "-5", "wcorr", "--joint", "phi2", "--eps", "0.05"],
         ["--budget-samples", "-1", "workext", "--state", "state2", "--hamiltonian", "ham2",
          "--eps", "0.15"],
         ["--budget-samples", "-1", "wcorr", "--joint", "phi2", "--eps", "0.05"],
+        # the sample budget of the randomized capacity search
+        ["--budget-samples", "-1", "capacity", "--channel", "bsc01", "--eps", "0.1",
+         "--randomized"],
     ])
     def test_bad_argument(self, capsys, files, argv):
         code, out, err = _run(capsys, _with_files(argv, files))

@@ -173,7 +173,7 @@ class TestOneShotCapacity:
         assert res.codebook.inputs == first_feasible_reference(ch, eps)
         assert res.codebook.decoder == ml_decoder(ch, res.codebook.inputs)
 
-    @pytest.mark.parametrize("max_messages", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("max_messages", [2.5, 2.0, "2", True])
     def test_non_integral_max_messages_rejected(self, max_messages):
         with pytest.raises(ThermocapError, match="max_messages"):
             one_shot_capacity(StochasticChannel.identity(4), 0.1, max_messages=max_messages)
@@ -181,6 +181,22 @@ class TestOneShotCapacity:
     def test_numpy_integer_max_messages_accepted(self):
         ch = StochasticChannel.identity(4)
         assert one_shot_capacity(ch, 0.1, max_messages=np.int64(2)).bits == 1.0
+
+    @pytest.mark.parametrize("samples", [-1, 2.5, 3.0, True, "3", None])
+    def test_bad_samples_rejected(self, samples):
+        ch = StochasticChannel.identity(3)
+        with pytest.raises(ThermocapError, match="samples must be an integer >= 0"):
+            one_shot_capacity(ch, 0.1, randomized=True, samples=samples)
+        with pytest.raises(ThermocapError, match="samples must be an integer >= 0"):
+            theta_equilibrium_capacity(ch, 0.1, 0.25, randomized=True, samples=samples)
+
+    def test_sample_budget_limits_and_numpy_integers_accepted(self):
+        ch = StochasticChannel.identity(3)
+        # no draw at all leaves the one-message codebook
+        assert one_shot_capacity(ch, 0.1, randomized=True, samples=0).bits == 0.0
+        want = one_shot_capacity(ch, 0.1, randomized=True, samples=50, seed=2)
+        got = one_shot_capacity(ch, 0.1, randomized=True, samples=np.int32(50), seed=2)
+        assert got == want
 
     def test_deterministic_encoders_suffice(self, rng):
         # stochastic encoders never beat the deterministic optimum: the

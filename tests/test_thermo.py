@@ -21,7 +21,6 @@ from thermocap import (
 from thermocap import thermo
 from thermocap.core import (
     LN2,
-    AtomBudgetExceededError,
     DimensionMismatchError,
     ThermocapError,
     ZeroMarginalError,
@@ -134,35 +133,7 @@ class TestWorkDistribution:
         assert payload["mode"] == "exact"
         assert sum(p for _, p in payload["atoms"]) == pytest.approx(1.0)
 
-    def test_monte_carlo_fallback_is_seeded(self):
-        proc, eta = _random_quench_process()
-        wd1 = work_distribution(proc, eta, atom_budget=50, mc_trajectories=2000, seed=3)
-        wd2 = work_distribution(proc, eta, atom_budget=50, mc_trajectories=2000, seed=3)
-        assert wd1.mode in ("binned", "monte_carlo")
-        assert wd1.values.tolist() == wd2.values.tolist()
-        assert wd1.probs.tolist() == wd2.probs.tolist()
-
-    def test_monte_carlo_branch(self, monkeypatch):
-        # a grid cap this small sends the binned convolution to Monte-Carlo
-        monkeypatch.setattr(thermo, "_DENSE_CAP", 100)
-        proc, eta = _random_quench_process()
-        n = 2000
-        wd = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=3)
-        assert wd.mode == "monte_carlo"
-        again = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=3)
-        assert wd.values.tolist() == again.values.tolist()
-        assert wd.probs.tolist() == again.probs.tolist()
-        other = work_distribution(proc, eta, atom_budget=50, mc_trajectories=n, seed=4)
-        assert wd.probs.tolist() != other.probs.tolist()
-        assert wd.cdf_error == math.sqrt(math.log(200.0) / (2 * n))
-        payload = wd.to_dict()
-        assert payload["n_samples"] == n
-        assert payload["seed"] == 3
-        assert payload["cdf_error_99"] == wd.cdf_error
-        with pytest.raises(AtomBudgetExceededError):
-            work_distribution(proc, eta, atom_budget=50, mc_trajectories=0)
-
-    def test_monte_carlo_results_carry_the_dkw_band(self, monkeypatch):
+    def test_monte_carlo_results_carry_the_dkw_band(self):
         eta = Distribution([0.6, 0.3, 0.1])
         h = Hamiltonian([0.0, 0.7, 1.5])
         joint = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
@@ -179,16 +150,16 @@ class TestWorkDistribution:
             corr = work_from_correlation(joint, 0.1, **kwargs)
             assert list(corr.to_dict()) == corr_keys
 
-        monkeypatch.setattr(thermo, "_DENSE_CAP", 100)
-        n = 2000
-        kappa = math.sqrt(math.log(200.0) / (2 * n))
-        res = extractable_work(eta, h, 0.1, mc_trajectories=n, seed=3, **small)
-        corr = work_from_correlation(joint, 0.1, mc_trajectories=n, seed=3, **small)
-        for payload, base in ((res.to_dict(), keys), (corr.to_dict(), corr_keys)):
-            assert payload["distribution_mode"] == "monte_carlo"
-            assert list(payload) == base + ["n_samples", "cdf_error_99"]
-            assert payload["n_samples"] == n
-            assert payload["cdf_error_99"] == kappa
+    def test_grid_far_from_zero(self):
+        # every trajectory pays a 1e19 quench first: 1e22 cells of the grid,
+        # past int64, while the window spans a few thousand cells
+        levels = [[0.0, 0.0], [0.0, 1e19], [0.0, 0.5]]
+        levels += [[0.3 * (i % 3), 0.5 + 0.2 * (i % 2)] for i in range(1, 8)] + [[0.0, 0.0]]
+        proc, eta = WorkProcess(levels), Distribution([0.0, 1.0])
+        exact = work_distribution(proc, eta)
+        wd = work_distribution(proc, eta, atom_budget=1)
+        assert (exact.mode, wd.mode) == ("exact", "binned")
+        assert wd.mean == pytest.approx(exact.mean, rel=1e-15)
 
     @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
     def test_resolution_must_be_finite_and_positive(self, resolution):
@@ -246,8 +217,6 @@ class TestWorkInputs:
     @pytest.mark.parametrize("budgets", [
         {"atom_budget": -5}, {"atom_budget": 0}, {"atom_budget": 2.5},
         {"atom_budget": True}, {"atom_budget": "10"}, {"atom_budget": None},
-        {"mc_trajectories": -1}, {"mc_trajectories": 2.5}, {"mc_trajectories": True},
-        {"mc_trajectories": "10"}, {"mc_trajectories": None},
     ])
     def test_bad_budgets_rejected_before_the_protocol(self, monkeypatch, budgets):
         (name,) = budgets
@@ -267,9 +236,8 @@ class TestWorkInputs:
     def test_budget_limits_and_numpy_integers_accepted(self):
         proc, eta = _random_quench_process()
         want = work_distribution(proc, eta, atom_budget=50)
-        for budgets in ({"atom_budget": np.int64(50)}, {"atom_budget": 50, "mc_trajectories": 0},
-                        {"atom_budget": 50, "mc_trajectories": np.int32(7)}):
-            got = work_distribution(proc, eta, **budgets)
+        for budget in (np.int64(50), np.int32(50)):
+            got = work_distribution(proc, eta, atom_budget=budget)
             assert got.values.tobytes() == want.values.tobytes()
             assert got.probs.tobytes() == want.probs.tobytes()
         assert work_distribution(proc, eta, atom_budget=1).mode == "binned"
@@ -713,7 +681,7 @@ class TestProtocolLevels:
         levels = _assert_protocol_matches(g, h, 0.5 * float(g.probs.min()), 50.0, 400, "angle")
         assert levels.shape == (2, 3)
 
-    @pytest.mark.parametrize("k_steps", [2.5, 400.0, 0])
+    @pytest.mark.parametrize("k_steps", [2.5, 400.0, 0, True])
     def test_k_steps_must_be_a_positive_integer(self, k_steps):
         with pytest.raises(ThermocapError, match="k_steps"):
             extraction_protocol(Distribution([1.0, 0.0]), Hamiltonian([0.0, 0.0]), 0.15,
@@ -753,15 +721,11 @@ def loop_dense_convolve(offset, dense, shifts, weights):
     return offset + lo + int(nz[0]), out
 
 
-def loop_monte_carlo(segments, res, n, seed):
-    """The Monte-Carlo histogram as np.unique counted it."""
-    rng = np.random.default_rng(seed)
-    totals = np.zeros(n)
-    for seg_values, seg_probs in segments:
-        draws = rng.choice(seg_values.size, size=n, p=seg_probs / seg_probs.sum())
-        totals += seg_values[draws]
-    uniq, counts = np.unique(np.round(totals / res).astype(np.int64), return_counts=True)
-    return uniq * res, counts / n
+def loop_merge_pairs(offset, dense):
+    """The window on a grid of twice the step, by a bincount of each cell's
+    floor-halved index."""
+    cells = (offset + np.arange(dense.size)) // 2
+    return int(cells[0]), np.bincount(cells - cells[0], weights=dense)
 
 
 def argsort_atoms(values, probs):
@@ -771,13 +735,13 @@ def argsort_atoms(values, probs):
     return values[order], probs[order] / probs.sum()
 
 
-def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution=None,
-                           mc_trajectories=100_000, seed=0):
+def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution=None):
     """work_distribution with each grid stage rounding its own shifts, as
-    before the one-pass grid phase; returns (values, probs, mode, resolution,
-    grid stages run).  The exact phase is thermo._convolve_exact, which
-    TestConvolveExact pins to its own reference."""
-    res = resolution if resolution is not None else 1e-3
+    before the one-pass grid phase, and coarsening stage by stage; returns
+    (values, probs, mode, resolution, grid error, grid stages run).  The
+    exact phase is thermo._convolve_exact, which TestConvolveExact pins to
+    its own reference."""
+    res = step = resolution if resolution is not None else 1e-3
     segments = thermo._segments(proc, eta)
     values, probs = np.zeros(1), np.ones(1)
     for n_exact, (seg_values, seg_probs) in enumerate(segments):
@@ -785,19 +749,28 @@ def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution
             break
         values, probs = thermo._convolve_exact(values, probs, seg_values, seg_probs)
     else:
-        return (*argsort_atoms(values, probs), "exact", None, 0)
-    idx = np.round(values / res).astype(np.int64)
+        return (*argsort_atoms(values, probs), "exact", None, None, 0)
+    cells = np.round(values / res)
+    while cells.max() - cells.min() + 1 > thermo._DENSE_CAP:
+        res *= 2.0
+        cells = np.round(values / res)
+    idx = cells.astype(np.int64)
     offset = int(idx.min())
     dense = np.bincount(idx - offset, weights=probs)
-    for stage, (seg_values, seg_probs) in enumerate(segments[n_exact:]):
-        shifts = np.round(seg_values / res).astype(np.int64)
-        if dense.size + int(shifts.max() - shifts.min()) > thermo._DENSE_CAP:
-            return (*argsort_atoms(*loop_monte_carlo(segments, res, mc_trajectories, seed)),
-                    "monte_carlo", res, stage)
-        offset, dense = loop_dense_convolve(offset, dense, shifts, seg_probs)
+    rest = segments[n_exact:]
+    for seg_values, seg_probs in rest:
+        cells = np.round(seg_values / res)
+        while dense.size + (cells.max() - cells.min()) > thermo._DENSE_CAP:
+            res *= 2.0
+            offset, dense = loop_merge_pairs(offset, dense)
+            cells = np.round(seg_values / res)
+        offset, dense = loop_dense_convolve(offset, dense, cells.astype(np.int64), seg_probs)
     keep = dense > 0.0
     grid = (offset + np.flatnonzero(keep)) * res
-    return (*argsort_atoms(grid, dense[keep]), "binned", res, len(segments) - n_exact)
+    if res == step:
+        return (*argsort_atoms(grid, dense[keep]), "binned", res, None, len(rest))
+    return (*argsort_atoms(grid, dense[keep]), "coarsened", res, (len(rest) + 3) * res / 2,
+            len(rest))
 
 
 def loop_gain_cdf(wd, eps):
@@ -805,6 +778,17 @@ def loop_gain_cdf(wd, eps):
     order = np.argsort(-wd.values)
     gains, probs = 0.0 - wd.values[order], wd.probs[order]
     return gains, probs, np.concatenate([[0.0], np.cumsum(probs)])
+
+
+def _exact_prefix(proc, eta, atom_budget):
+    """The exact atoms work_distribution snaps to the grid, and how many
+    increments they hold."""
+    values, probs = np.zeros(1), np.ones(1)
+    for n_exact, (seg_values, seg_probs) in enumerate(thermo._segments(proc, eta)):
+        if values.size * seg_values.size > atom_budget:
+            return values, n_exact
+        values, probs = thermo._convolve_exact(values, probs, seg_values, seg_probs)
+    raise AssertionError("no grid phase")
 
 
 def _count_grid_stages(monkeypatch):
@@ -822,10 +806,10 @@ def _count_grid_stages(monkeypatch):
 def _assert_pipeline_matches(monkeypatch, proc, eta, eps, **kwargs):
     stages = _count_grid_stages(monkeypatch)
     wd = work_distribution(proc, eta, **kwargs)
-    values, probs, mode, resolution, want_stages = loop_work_distribution(proc, eta, **kwargs)
+    values, probs, *labels = loop_work_distribution(proc, eta, **kwargs)
     assert wd.values.tobytes() == values.tobytes()
     assert wd.probs.tobytes() == probs.tobytes()
-    assert (wd.mode, wd.resolution, len(stages)) == (mode, resolution, want_stages)
+    assert [wd.mode, wd.resolution, wd.grid_error, len(stages)] == labels
     for got, want in zip(thermo._gain_cdf(wd, eps), loop_gain_cdf(wd, eps)):
         assert got.tobytes() == want.tobytes()
     return wd
@@ -870,12 +854,39 @@ class TestWorkPipeline:
         h = Hamiltonian([0.0, 0.4, 1.1, 2.0])
         proc, _ = extraction_protocol(eta, h, 0.1, k_steps=400)
         wd = _assert_pipeline_matches(monkeypatch, proc, eta, 0.1, atom_budget=1000,
-                                      resolution=1e-4, mc_trajectories=3000, seed=9)
-        assert wd.mode == "monte_carlo"
-        # the window outgrew the cap part way through the grid phase
-        stages = _count_grid_stages(monkeypatch)
-        work_distribution(proc, eta, atom_budget=1000, resolution=1e-4, mc_trajectories=3000)
-        assert stages
+                                      resolution=1e-4)
+        assert wd.mode == "coarsened"
+        assert wd.resolution > 1e-4
+        # the snapped exact atoms fit the cap; the window outgrew it part way
+        # through the grid phase
+        values, _ = _exact_prefix(proc, eta, 1000)
+        assert np.ptp(np.round(values / 1e-4)) < cap
+
+    def test_wide_exact_prefix_is_rounded_at_the_coarser_step(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_DENSE_CAP", 100)
+        proc, eta = _random_quench_process()
+        values, _ = _exact_prefix(proc, eta, 50)
+        assert np.ptp(np.round(values / 1e-3)) >= 100
+        wd = _assert_pipeline_matches(monkeypatch, proc, eta, 0.1, atom_budget=50)
+        assert wd.mode == "coarsened"
+
+    @pytest.mark.parametrize("cap, atom_budget", [(40, 1), (100, 1), (100, 10), (2_000, 10)])
+    def test_coarsened_atoms_move_within_the_grid_error(self, monkeypatch, cap, atom_budget):
+        # the exact distribution and the coarsened one, shifted by the grid
+        # error either way, bracket each other's CDF: a coupling moves no
+        # trajectory further than that
+        proc, eta = _random_quench_process()
+        proc = WorkProcess(proc.levels[[0, 1, 2, 3, 4, -1]])
+        exact = work_distribution(proc, eta)
+        assert exact.mode == "exact"
+        monkeypatch.setattr(thermo, "_DENSE_CAP", cap)
+        wd = work_distribution(proc, eta, atom_budget=atom_budget)
+        assert wd.mode == "coarsened"
+        assert wd.grid_error < np.ptp(exact.values)
+        for x in np.concatenate([exact.values, wd.values]):
+            want = exact.probs[exact.values <= x].sum()
+            assert wd.probs[wd.values <= x - wd.grid_error].sum() <= want + 1e-12
+            assert wd.probs[wd.values <= x + wd.grid_error].sum() >= want - 1e-12
 
     @pytest.mark.parametrize("shifts, weights", [
         ([0, 4, 8], [1e-20, 1.0 - 2e-20, 1e-20]),  # both tails trimmed
@@ -896,6 +907,50 @@ class TestWorkPipeline:
     def test_lost_mass_raises(self):
         with pytest.raises(ThermocapError, match="lost all mass"):
             thermo._dense_convolve(0, np.array([1e-10]), [0, 1], [1e-10, 1e-10])
+
+
+_FOUR_LEVELS = (Distribution([0.55, 0.25, 0.15, 0.05]), Hamiltonian([0.0, 0.4, 1.1, 2.0]))
+_EXTRACTION_KEYS = ["value_kT", "delta_kT", "eps", "entropy_bits", "bracket_kT", "e_cut",
+                    "k_steps", "distribution_mode", "witness_indices", "window_kT"]
+
+
+class TestCoarsenedResults:
+    """A grid that would pass its cap answers "coarsened" with a grid error."""
+
+    def test_wide_grid_coarsens_at_the_default_cap(self):
+        eta, h = _FOUR_LEVELS
+        proc, _ = extraction_protocol(eta, h, 0.1, e_cut=2000.0)
+        wd = work_distribution(proc, eta, resolution=1e-4)
+        assert (wd.mode, wd.resolution) == ("coarsened", 2e-4)
+        _, n_exact = _exact_prefix(proc, eta, thermo.ATOM_BUDGET)
+        n_grid = len(thermo._segments(proc, eta)) - n_exact
+        assert wd.grid_error == (n_grid + 3) * 2e-4 / 2
+        assert wd.to_dict()["grid_error"] == wd.grid_error
+        payload = extractable_work(eta, h, 0.1, e_cut=2000.0).to_dict()
+        assert list(payload) == _EXTRACTION_KEYS + ["grid_error_kT"]
+        assert payload["distribution_mode"] == "coarsened"
+        assert payload["grid_error_kT"] == wd.grid_error
+        assert payload == extractable_work(eta, h, 0.1, e_cut=2000.0).to_dict()
+
+    def test_correlation_payload_carries_the_grid_error(self):
+        joint = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        payload = work_from_correlation(joint, 0.1, e_cut=2000.0).to_dict()
+        assert list(payload) == ["value_kT", "delta_kT", "eps", "entropy_bits", "bracket_kT",
+                                 "support_a", "support_b", "distribution_mode", "grid_error_kT"]
+        assert payload["distribution_mode"] == "coarsened"
+        assert 0.0 < payload["grid_error_kT"] < 1.0
+
+    @pytest.mark.parametrize("delta", [None, 0.1])
+    def test_huge_cut_energy_answers_with_a_bracket(self, delta):
+        # the quench cost, 1e16 kT, is 1e20 cells of the starting grid: more
+        # than an int64 holds
+        eta, h = _FOUR_LEVELS
+        res = extractable_work(eta, h, 0.1, delta, e_cut=1e16)
+        assert res.distribution_mode == "coarsened"
+        assert 0.0 < res.grid_error < math.inf
+        assert math.isfinite(res.value)
+        assert res.value <= res.bracket[1] + res.grid_error
+        assert res.to_dict()["grid_error_kT"] == res.grid_error
 
 
 class TestSortedValues:
