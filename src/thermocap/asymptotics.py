@@ -25,12 +25,13 @@ from .core import (
     Distribution,
     SearchSpaceTooLargeError,
     StochasticChannel,
-    SupportViolationError,
     ThermocapError,
     tensor_power_channel,
 )
 from .entropy import (
-    hypothesis_testing_entropy_iid_binary,
+    _binary_laws,
+    _iid_binary_bits,
+    _log_factorials,
     relative_entropy,
 )
 
@@ -70,13 +71,15 @@ def stein_series(
     n_max = _count(n_max, "n_max")
     if n_max > 10_000:
         raise ThermocapError("n_max is capped at 10^4")
-    if np.any((p.probs > 0) & (q.probs == 0)):
-        raise SupportViolationError("support(p) must lie inside support(q)")
+    n_points = _count(n_points, "n_points")
+    logs_p, logs_q = _binary_laws(p, q, eps)
+    # the grid starts at 10^0 = 1, so it is never empty
     grid, _ = _runs(np.sort(np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)))
-    grid = grid[grid >= 1]
+    grid = grid.tolist()
+    # one table of ln k! for the largest n; each point reads a prefix of it
+    log_fact = _log_factorials(grid[-1])
     points = tuple(
-        (int(n), hypothesis_testing_entropy_iid_binary(p, q, eps, int(n)) / float(n))
-        for n in grid
+        (n, _iid_binary_bits(logs_p, logs_q, eps, n, log_fact) / float(n)) for n in grid
     )
     return ConvergenceSeries(
         points=points,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     _count,
+    _freeze,
     Distribution,
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -117,6 +118,25 @@ def _subset_value(r: np.ndarray, indices) -> float:
     return _bits(mass)
 
 
+def _half_masses(q: np.ndarray, r: np.ndarray) -> tuple:
+    """Subset masses q_lo, q_hi, r_lo, r_hi of the halves q[:d // 2] and
+    q[d // 2:] (and of r), subset a at entry a, by one DP over bit prefixes
+    of all four rows.  At odd d the lo half gets a zero last item, so its
+    masses are the first 2^lo entries, each the same chain of additions as
+    in a DP of its own."""
+    lo = q.size // 2
+    hi = q.size - lo
+    vals = np.zeros((4, hi))
+    vals[0, :lo], vals[1], vals[2, :lo], vals[3] = q[:lo], q[lo:], r[:lo], r[lo:]
+    # every entry past the empty subset's is written before it is read
+    masses = np.empty((4, 1 << hi))
+    masses[:, 0] = 0.0
+    for b in range(hi):
+        half = 1 << b
+        np.add(masses[:, :half], vals[:, b : b + 1], out=masses[:, half : 2 * half])
+    return masses[0, : 1 << lo], masses[1], masses[2, : 1 << lo], masses[3]
+
+
 def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     """Exact minimum r-mass over subsets with q-mass above threshold.
 
@@ -128,21 +148,9 @@ def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     time and O(2^(d/2)) memory; the witness is the one the full outer-sum
     table's row-major argmin picks.
     """
-    d = q.size
-    lo = d // 2
-    hi = d - lo
-
-    # subset masses of one half by DP over bit prefixes
-    def all_masses(vals):
-        size = vals.size
-        masses = np.zeros(1 << size)
-        for b in range(size):
-            half = 1 << b
-            masses[half : 2 * half] = masses[:half] + vals[b]
-        return masses
-
-    q_lo, q_hi = all_masses(q[:lo]), all_masses(q[lo:])
-    r_lo, r_hi = all_masses(r[:lo]), all_masses(r[lo:])
+    lo = q.size // 2
+    hi = q.size - lo
+    q_lo, q_hi, r_lo, r_hi = _half_masses(q, r)
 
     # the test fl(q_lo[a] + q_hi[b]) > threshold is monotone in each mass: a
     # hi subset that fails with the heaviest lo subset fails with all, and a
@@ -359,27 +367,128 @@ def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Resul
     return Renyi0Result(bits=bits, witness=witness, method=method, bracket=bracket)
 
 
-def _log_binomial_pmf(prob0: float, prob1: float, n: int) -> np.ndarray:
-    """log P(k ones in n draws) for k = 0..n under the binary law (prob0,
-    prob1), each entry used as given (never as 1 - the other); 0 log 0 = 0,
-    and a class that needs a symbol of zero mass gets -inf."""
-    # ln k! = ln Gamma(z), z = k + 1: math.lgamma for k below 32, Stirling's
-    # series through z^-7 from 32 on
+#: ln k! for k = 0..31 by math.lgamma; Stirling's series takes over at 32
+_LOG_FACT_SMALL = _freeze(np.array([math.lgamma(j + 1.0) for j in range(32)]))
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n.  Every entry depends on k alone, so the table for
+    a larger n starts with the table for a smaller one, bit for bit."""
+    # ln k! = ln Gamma(z), z = k + 1: Stirling's series through z^-7 from 32 on
     z = np.arange(33.0, n + 2.0)
     zi2 = 1.0 / (z * z)
     series = (1 / 12 - zi2 * (1 / 360 - zi2 * (1 / 1260 - zi2 / 1680))) / z
     stirling = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series
-    log_fact = np.concatenate(([math.lgamma(j + 1.0) for j in range(min(n + 1, 32))], stirling))
+    return np.concatenate((_LOG_FACT_SMALL[: n + 1], stirling))
+
+
+def _log_binomial(log_fact: np.ndarray, n: int) -> np.ndarray:
+    """ln C(n, k) for k = 0..n from a table of ln k! that reaches n."""
+    log_fact = log_fact[: n + 1]
     # ln n! - (ln k! + ln (n-k)!), grouped as scipy.stats.binom groups it: the
     # rounding then stays closest to the values recorded with it
-    out = log_fact[n] - (log_fact + log_fact[::-1])
-    k = np.arange(n + 1)
-    for count, prob in ((k, prob1), (n - k, prob0)):
-        if prob > 0.0:
-            out += count * np.log(prob)
+    return log_fact[n] - (log_fact + log_fact[::-1])
+
+
+def _log_probs(prob0: float, prob1: float) -> tuple:
+    """(np.log(prob0), np.log(prob1)), with -inf for a zero probability and
+    no divide warning."""
+    return tuple(np.log(prob) if prob > 0.0 else -math.inf for prob in (prob0, prob1))
+
+
+def _log_law(log_binom: np.ndarray, log0: float, log1: float) -> np.ndarray:
+    """log P(k ones in n draws) for k = 0..n from ln C(n, k) and the binary
+    law's log-probabilities (log0, log1); 0 log 0 = 0, and a class that
+    needs a symbol of zero mass gets -inf."""
+    k = np.arange(log_binom.size)
+    out = log_binom.copy()
+    # k reversed is n - k
+    for count, log_prob in ((k, log1), (k[::-1], log0)):
+        if log_prob > -math.inf:
+            out += count * log_prob
         else:
             out[count > 0] = -np.inf
     return out
+
+
+def _log_binomial_pmf(prob0: float, prob1: float, n: int) -> np.ndarray:
+    """log P(k ones in n draws) for k = 0..n under the binary law (prob0,
+    prob1), each entry used as given (never as 1 - the other)."""
+    return _log_law(_log_binomial(_log_factorials(n), n), *_log_probs(prob0, prob1))
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, for x without NaN.  numpy's vector exp is
+    several times slower on an argument whose result underflows (below
+    about -708.4) than on the rest; the entries outside the span of
+    arguments above -746, whose exp rounds to 0.0, are not computed."""
+    if x.min() > -746.0:
+        return np.exp(x)
+    live = np.flatnonzero(x > -746.0)
+    out = np.zeros(x.size)
+    if live.size:
+        span = slice(live[0], live[-1] + 1)
+        out[span] = np.exp(x[span])
+    return out
+
+
+def _class_order(log_ratio: np.ndarray) -> np.ndarray:
+    """np.lexsort((k, log_ratio)), read off directly when log_ratio is
+    strictly monotone in k.  Neighbours are compared, never subtracted: two
+    +inf classes would warn in inf - inf."""
+    k = np.arange(log_ratio.size)
+    if (log_ratio[1:] > log_ratio[:-1]).all():
+        return k
+    if (log_ratio[1:] < log_ratio[:-1]).all():
+        return k[::-1]
+    return np.lexsort((k, log_ratio))
+
+
+def _iid_binary_bits(logs_p, logs_q, eps: float, n: int, log_fact: np.ndarray) -> float:
+    """hypothesis_testing_entropy_iid_binary on validated inputs: the binary
+    laws as _log_probs pairs and a table of ln k! that reaches n."""
+    (lp0, lp1), (lq0, lq1) = logs_p, logs_q
+    k = np.arange(n + 1)
+    log_binom = _log_binomial(log_fact, n)
+    log_pmass = _log_law(log_binom, lp0, lp1)
+    log_rmass = _log_law(log_binom, lq0, lq1)
+
+    # per-string log likelihood ratio of reference to state, class k, from
+    # the symbols the class holds; classes p gives no mass go last
+    lr_one = lq1 - lp1 if lp1 > -math.inf else 0.0
+    lr_zero = lq0 - lp0 if lp0 > -math.inf else 0.0
+    log_ratio = k * lr_one
+    log_ratio[:n] += k[::-1][:n] * lr_zero
+    if -math.inf in (lp0, lp1):
+        log_ratio[log_pmass == -np.inf] = np.inf
+    order = _class_order(log_ratio)
+
+    pmass = _exp(log_pmass)[order]
+    cut, frac = _greedy_cover(_running_sum(pmass), pmass, 0, 1.0 - eps)
+    if frac > 0.0:
+        terms = log_rmass[order[: cut + 1]]
+        terms[-1] = math.log(frac) + terms[-1]
+    else:
+        terms = log_rmass[order[:cut]]
+    # classes the reference gives no mass add nothing to the cost
+    if -math.inf in (lq0, lq1):
+        terms = terms[np.isfinite(terms)]
+    if terms.size == 0:
+        return math.inf
+    top = terms.max()
+    log_cost = float(top + np.log(np.sum(_exp(terms - top))))
+    return -log_cost / math.log(2.0)
+
+
+def _binary_laws(p: Distribution, q: Distribution, eps: float) -> tuple:
+    """The _log_probs pairs of two binary laws, once eps lies in (0, 1) and
+    support(p) inside support(q)."""
+    if not 0.0 < eps < 1.0:
+        raise ThermocapError("eps must lie in (0, 1)")
+    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
+    if (p0 > 0 and q0 == 0) or (p1 > 0 and q1 == 0):
+        raise SupportViolationError("support(p) must lie inside support(q)")
+    return _log_probs(p0, p1), _log_probs(q0, q1)
 
 
 def hypothesis_testing_entropy_iid_binary(
@@ -394,35 +503,8 @@ def hypothesis_testing_entropy_iid_binary(
     if p.dim != 2 or q.dim != 2:
         raise DimensionMismatchError("binary distributions required")
     n = _count(n, "n")
-    if not 0.0 < eps < 1.0:
-        raise ThermocapError("eps must lie in (0, 1)")
-    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
-    if (p0 > 0 and q0 == 0) or (p1 > 0 and q1 == 0):
-        raise SupportViolationError("support(p) must lie inside support(q)")
-
-    k = np.arange(n + 1)
-    log_pmass = _log_binomial_pmf(p0, p1, n)
-    log_rmass = _log_binomial_pmf(q0, q1, n)
-
-    # per-string log likelihood ratio of reference to state, class k, from
-    # the symbols the class holds; classes p gives no mass go last
-    lr_one = np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0
-    lr_zero = np.log(q0) - np.log(p0) if p0 > 0.0 else 0.0
-    log_ratio = k * lr_one
-    log_ratio[:n] += (n - k[:n]) * lr_zero
-    log_ratio[np.isneginf(log_pmass)] = np.inf
-    order = np.lexsort((k, log_ratio))
-
-    pmass = np.exp(log_pmass)[order]
-    cut, frac = _greedy_cover(_running_sum(pmass), pmass, 0, 1.0 - eps)
-    terms = log_rmass[order[:cut]]
-    if frac > 0.0:
-        terms = np.append(terms, math.log(frac) + log_rmass[order[cut]])
-    terms = terms[np.isfinite(terms)]
-    if terms.size == 0:
-        return math.inf
-    log_cost = float(terms.max() + np.log(np.sum(np.exp(terms - terms.max()))))
-    return -log_cost / math.log(2.0)
+    logs_p, logs_q = _binary_laws(p, q, eps)
+    return _iid_binary_bits(logs_p, logs_q, eps, n, _log_factorials(n))
 
 
 def dense_lp_oracle(p: Distribution, q: Distribution, eps: float) -> float:

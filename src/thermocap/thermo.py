@@ -238,9 +238,9 @@ def work_distribution(
     grid window would pass _DENSE_CAP cells, the step doubles until it fits
     ("coarsened"): the window's cells merge in pairs and the increments still
     to come are rounded at the new step.  The snap and each grid stage move
-    the work by at most half the final step and all merges together by less
-    than one step, so a coarsened result reports grid_error =
-    (grid stages + 3) * step / 2.
+    the work by at most half the step they round at, and each merge by at
+    most one step before it (all merges together by less than the final
+    step); a coarsened result reports the sum of these as grid_error.
     """
     atom_budget = _count(atom_budget, "atom_budget")
     if resolution is not None and not 0.0 < resolution < math.inf:
@@ -266,6 +266,7 @@ def work_distribution(
         cells = np.round(values / res)
     offset = int(cells[0])
     dense = np.bincount((cells - cells[0]).astype(np.int64), weights=probs)
+    grid_error = res / 2.0
     # the grid cells of every remaining increment in one pass; rounding is
     # monotone, so each increment's shifts ascend like its values
     rest = segments[n_exact:]
@@ -275,17 +276,19 @@ def work_distribution(
     weights = np.concatenate([p for _, p in rest]).tolist()
     for start, stop in zip([0] + stops[:-1], stops):
         while dense.size + (shifts[stop - 1] - shifts[start]) > _DENSE_CAP:
+            grid_error += res
             res *= 2.0
             offset, dense = _merge_pairs(offset, dense)
             shifts[start:] = np.round(rest_values[start:] / res).tolist()
         offset, dense = _dense_convolve(offset, dense, shifts[start:stop], weights[start:stop])
+        grid_error += res / 2.0
     keep = dense > 0.0
     # offset, a Python int, can pass int64 where every value is far from zero
     grid = (np.flatnonzero(keep) + float(offset)) * res
     if res == first_res:
         return WorkDistribution(values=grid, probs=dense[keep], mode="binned", resolution=res)
     return WorkDistribution(values=grid, probs=dense[keep], mode="coarsened", resolution=res,
-                            grid_error=(len(rest) + 3) * res / 2.0)
+                            grid_error=grid_error)
 
 
 def _check_delta(delta: float) -> None:

@@ -99,6 +99,26 @@ class TestSteinSeries:
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
         assert stein_series(p, q, 0.1, np.int64(50)) == stein_series(p, q, 0.1, 50)
 
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5, 24.0, True, "24"])
+    def test_bad_n_points_rejected(self, n_points):
+        # 0 raised IndexError, -1 ValueError, 2.5 TypeError; True ran as 1
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        with pytest.raises(ThermocapError, match="n_points must be an integer >= 1"):
+            stein_series(p, q, 0.1, 50, n_points)
+
+    def test_n_points_limits_and_numpy_integers_accepted(self):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        assert [n for n, _ in stein_series(p, q, 0.1, 50, 1).points] == [1]
+        assert stein_series(p, q, 0.1, 50, np.int32(5)) == stein_series(p, q, 0.1, 50, 5)
+        # more points than copy numbers: the grid keeps each n once
+        assert [n for n, _ in stein_series(p, q, 0.1, 3, 40).points] == [1, 2, 3]
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
+    def test_eps_checked_once_before_any_point(self, eps):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        with pytest.raises(ThermocapError, match="eps must lie in"):
+            stein_series(p, q, eps, 50)
+
 
 class TestShannonCapacity:
     def test_identity(self):

@@ -175,6 +175,15 @@ class TestCapacityCommand:
         assert report["result"]["bits"] == 2.0
         assert report["result"]["codebook_inputs"] == [0, 1, 2, 3]
 
+    def test_package_entry_point(self, files):
+        # python -m thermocap runs the front end too
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermocap", "--help"],
+            capture_output=True, env=_src_env(), cwd=files["tmp"], timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().startswith("usage: thermocap")
+
 
 def _four_level_workext(tmp_path, e_cut):
     state = _write(tmp_path, "state4.json", {"probs": [0.55, 0.25, 0.15, 0.05]})

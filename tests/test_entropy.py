@@ -14,6 +14,7 @@ from thermocap import (
     min_relative_entropy,
     relative_entropy,
     smoothed_renyi0,
+    stein_series,
     tensor_power,
 )
 from thermocap.core import InfiniteValueError, SupportViolationError, ThermocapError
@@ -94,6 +95,17 @@ class TestMinPositiveProb:
         assert min_positive_prob(Distribution.uniform(8)) == pytest.approx(1 / 8)
 
 
+def all_masses(vals):
+    """Subset masses of one half by a DP over bit prefixes: the per-half DP
+    that the stacked one replaced, kept verbatim as a reference."""
+    size = vals.size
+    masses = np.zeros(1 << size)
+    for b in range(size):
+        half = 1 << b
+        masses[half : 2 * half] = masses[:half] + vals[b]
+    return masses
+
+
 def table_best_subset(q, r, threshold):
     """The whole 2^lo x 2^hi outer-sum table of the two halves' subset masses,
     searched by one row-major argmin: the enumeration the sorted halves
@@ -101,15 +113,6 @@ def table_best_subset(q, r, threshold):
     d = q.size
     lo = d // 2
     hi = d - lo
-
-    def all_masses(vals):
-        size = vals.size
-        masses = np.zeros(1 << size)
-        for b in range(size):
-            half = 1 << b
-            masses[half : 2 * half] = masses[:half] + vals[b]
-        return masses
-
     q_lo, q_hi = all_masses(q[:lo]), all_masses(q[lo:])
     r_lo, r_hi = all_masses(r[:lo]), all_masses(r[lo:])
 
@@ -303,6 +306,21 @@ class TestEnumeration:
             count += 1
         assert count > 2900
 
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_stacked_masses_match_the_per_half_dp(self, d):
+        # every subset mass is the same chain of additions, odd d included
+        rng = np.random.default_rng([d, 16])
+        lo = d // 2
+        p = rng.dirichlet(np.ones(d))
+        with_zeros = np.where(rng.random(d) < 0.4, 0.0, p)
+        dyadic = np.round(p * 16) / 16
+        for q, r in ((p, rng.dirichlet(np.ones(d))), (with_zeros, p), (dyadic, with_zeros),
+                     (np.zeros(d), dyadic)):
+            got = entropy._half_masses(q, r)
+            want = (all_masses(q[:lo]), all_masses(q[lo:]), all_masses(r[:lo]), all_masses(r[lo:]))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("d", range(21, 33))
     def test_matches_branch_and_bound(self, d):
         rng = np.random.default_rng([d, 7])
@@ -466,6 +484,67 @@ class TestLogBinomial:
             p1 = float(rng.uniform(0.001, 0.999))
             got = entropy._log_binomial_pmf(1.0 - p1, p1, n)
             np.testing.assert_allclose(got, binom.logpmf(np.arange(n + 1), n, p1), rtol=1e-12)
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("n_max", [1000, 10_000])
+    def test_stein_grid_slices_match_fresh_tables(self, n_max):
+        # each point of a Stein series reads a prefix of one table of ln k!
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        grid = [n for n, _ in stein_series(p, q, 0.1, n_max).points]
+        assert grid[0] == 1 and grid[-1] == n_max
+        table = entropy._log_factorials(n_max)
+        for n in grid:
+            log_binom = entropy._log_binomial(table, n)
+            for p0, p1 in ((1.0, 1.0), (0.7, 0.3), (0.5, 0.5), (0.0, 1.0)):
+                got = entropy._log_law(log_binom, *entropy._log_probs(p0, p1))
+                assert got.tobytes() == entropy._log_binomial_pmf(p0, p1, n).tobytes()
+
+    @pytest.mark.parametrize("n_max", [1000, 10_000])
+    def test_stein_points_match_the_public_function(self, n_max):
+        rng = np.random.default_rng(n_max)
+        for _ in range(3):
+            p1, q1 = rng.uniform(0.05, 0.95, size=2)
+            p, q = Distribution([1 - p1, p1]), Distribution([1 - q1, q1])
+            eps = float(rng.uniform(0.01, 0.3))
+            for n, value in stein_series(p, q, eps, n_max).points:
+                assert value == hypothesis_testing_entropy_iid_binary(p, q, eps, n) / n
+
+    def test_exp_matches_numpy_bit_for_bit(self, rng):
+        # log-masses whose exp underflows at one end, both ends or not at
+        # all, results in the subnormal range, and -inf classes
+        for _ in range(200):
+            n = int(rng.choice([1, 5, 50, 300, 1000, 10_000]))
+            p1 = float(rng.uniform(0.001, 0.999))
+            x = entropy._log_binomial_pmf(1.0 - p1, p1, n)
+            for y in (x, x - x.max(), x[::-1], np.append(x, -np.inf),
+                      np.linspace(-760.0, -700.0, 61), np.full(3, -800.0)):
+                assert entropy._exp(y).tobytes() == np.exp(y).tobytes()
+
+    @pytest.mark.parametrize("p, q, monotone", [
+        ([0.6, 0.4], [0.3, 0.7], True),  # log-ratio increasing in k
+        ([0.3, 0.7], [0.6, 0.4], True),  # decreasing
+        ([0.4, 0.6], [0.4 + 1e-15, 0.6 - 1e-15], True),  # p ~ q: falls by 4e-15 a class
+        ([0.4, 0.6], [0.4, 0.6], False),  # p == q: every class tied
+        ([1.0, 0.0], [0.5, 0.5], False),  # +inf classes from k = 1 on
+        ([0.0, 1.0], [0.3, 0.7], False),  # +inf classes below k = n
+    ])
+    @pytest.mark.parametrize("n", [2, 7, 200, 10_000])
+    def test_class_order_matches_lexsort(self, p, q, monotone, n):
+        # the log-ratios as hypothesis_testing_entropy_iid_binary forms them
+        (p0, p1), (q0, q1) = p, q
+        k = np.arange(n + 1)
+        log_ratio = k * (np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0)
+        log_ratio[:n] += (n - k[:n]) * (np.log(q0) - np.log(p0) if p0 > 0.0 else 0.0)
+        log_ratio[np.isneginf(entropy._log_binomial_pmf(p0, p1, n))] = np.inf
+        rises, falls = log_ratio[1:] > log_ratio[:-1], log_ratio[1:] < log_ratio[:-1]
+        assert bool(rises.all() or falls.all()) == monotone
+        assert np.array_equal(entropy._class_order(log_ratio), np.lexsort((k, log_ratio)))
+        for edge in (np.inf, -np.inf):  # an infinite class at either end
+            for at in (0, n):
+                shifted = log_ratio.copy()
+                shifted[at] = edge
+                assert np.array_equal(entropy._class_order(shifted), np.lexsort((k, shifted)))
 
 
 # The sequential greedy loops that the shared cover helper replaced, kept

@@ -757,20 +757,23 @@ def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution
     idx = cells.astype(np.int64)
     offset = int(idx.min())
     dense = np.bincount(idx - offset, weights=probs)
+    # half the snap's step, one step before each merge, half each stage's step
+    error = res / 2
     rest = segments[n_exact:]
     for seg_values, seg_probs in rest:
         cells = np.round(seg_values / res)
         while dense.size + (cells.max() - cells.min()) > thermo._DENSE_CAP:
+            error += res
             res *= 2.0
             offset, dense = loop_merge_pairs(offset, dense)
             cells = np.round(seg_values / res)
         offset, dense = loop_dense_convolve(offset, dense, cells.astype(np.int64), seg_probs)
+        error += res / 2
     keep = dense > 0.0
     grid = (offset + np.flatnonzero(keep)) * res
     if res == step:
         return (*argsort_atoms(grid, dense[keep]), "binned", res, None, len(rest))
-    return (*argsort_atoms(grid, dense[keep]), "coarsened", res, (len(rest) + 3) * res / 2,
-            len(rest))
+    return (*argsort_atoms(grid, dense[keep]), "coarsened", res, error, len(rest))
 
 
 def loop_gain_cdf(wd, eps):
@@ -924,7 +927,10 @@ class TestCoarsenedResults:
         assert (wd.mode, wd.resolution) == ("coarsened", 2e-4)
         _, n_exact = _exact_prefix(proc, eta, thermo.ATOM_BUDGET)
         n_grid = len(thermo._segments(proc, eta)) - n_exact
-        assert wd.grid_error == (n_grid + 3) * 2e-4 / 2
+        # the snap and every stage but the quench at 1e-4, one merge of 1e-4
+        # cells, the quench at 2e-4
+        assert wd.grid_error == pytest.approx((n_grid + 4) * 1e-4 / 2, rel=1e-12)
+        assert wd.grid_error == pytest.approx(0.0193, rel=1e-12)
         assert wd.to_dict()["grid_error"] == wd.grid_error
         payload = extractable_work(eta, h, 0.1, e_cut=2000.0).to_dict()
         assert list(payload) == _EXTRACTION_KEYS + ["grid_error_kT"]
