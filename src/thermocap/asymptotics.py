@@ -1,7 +1,7 @@
 """Desk-scale asymptotic experiments.
 
 Everything here reports one-sided or bracketed evidence: exact oracles run
-where the dimensions allow it, and anything beyond the configured budgets is
+where the dimensions allow it, and anything beyond the module budgets is
 labelled as a bracket rather than silently trusted.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import (
-    CODEBOOK_BUDGET,
     _codebook_batches,
     _ml_composed,
     _uniform_deviation,
@@ -22,6 +21,7 @@ from .core import (
     _count,
     _runs,
     ConvergenceError,
+    DimensionMismatchError,
     Distribution,
     SearchSpaceTooLargeError,
     StochasticChannel,
@@ -34,6 +34,9 @@ from .entropy import (
     _log_factorials,
     relative_entropy,
 )
+
+#: alternating-maximisation steps shannon_capacity takes before it gives up
+ITERATION_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ def stein_series(
     """Per-copy hypothesis-testing entropy of binary product laws on a
     log-spaced copy grid; the target is the relative entropy."""
     if p.dim != 2 or q.dim != 2:
-        raise ThermocapError("binary distributions required")
+        raise DimensionMismatchError("binary distributions required")
     n_max = _count(n_max, "n_max")
     if n_max > 10_000:
         raise ThermocapError("n_max is capped at 10^4")
@@ -105,20 +108,19 @@ def _input_divergences(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-2)
 
 
-def shannon_capacity(
-    ch: StochasticChannel, tol: float = 1e-9, max_iter: int = 200_000
-) -> ShannonCapacityResult:
+def shannon_capacity(ch: StochasticChannel, tol: float = 1e-9) -> ShannonCapacityResult:
     """Input-optimised mutual information via alternating maximisation.
 
     Terminates on the standard dual bracket: the current mutual information
     is achievable, the largest per-symbol divergence is an upper bound, and
-    iteration stops once they agree to within tol.
+    iteration stops once they agree to within tol.  Past ITERATION_BUDGET
+    steps it raises ConvergenceError with the last bracket attached.
     """
     if tol <= 0.0:
         raise ThermocapError("tol must be positive")
     matrix = ch.matrix
     r = np.full(ch.dim_in, 1.0 / ch.dim_in)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, ITERATION_BUDGET + 1):
         out = matrix @ r
         d = _input_divergences(matrix, out)
         lower = float(np.dot(r, d))
@@ -133,7 +135,8 @@ def shannon_capacity(
         r = r * np.exp2(d)
         r /= r.sum()
     raise ConvergenceError(
-        f"alternating maximisation did not close the bracket in {max_iter} iterations",
+        "alternating maximisation did not close the bracket within "
+        f"ITERATION_BUDGET = {ITERATION_BUDGET} iterations",
         bracket=(lower, upper),
     )
 
@@ -173,12 +176,12 @@ def constrained_holevo(
     classical version moves the uniform state by at most 2*theta in L1.
 
     Deterministic encoders (distinct input symbols with merge-by-likelihood
-    decoding) are enumerated within the default codebook budget, then
-    n_random seeded random stochastic pairs are tried; the result is always
-    a lower estimate of the true supremum.  The random pairs are drawn one
-    after another in seeded order, exactly as per-pair `Generator.dirichlet`
-    calls would draw them, and scored in one batch per message count; a
-    random witness is the first pair in draw order attaining the best value.
+    decoding) are enumerated within CODEBOOK_BUDGET, then n_random seeded
+    random stochastic pairs are tried; the result is always a lower estimate
+    of the true supremum.  The random pairs are drawn one after another in
+    seeded order, exactly as per-pair `Generator.dirichlet` calls would draw
+    them, and scored in one batch per message count; a random witness is the
+    first pair in draw order attaining the best value.
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
@@ -242,8 +245,6 @@ def regularized_capacity_series(
     eps: float,
     k_max: int = 3,
     theta: float | None = None,
-    codebook_budget: int = CODEBOOK_BUDGET,
-    samples: int = 100_000,
     seed: int = 0,
 ):
     """Per-copy one-shot capacities on tensor powers, with the alternating-
@@ -253,7 +254,8 @@ def regularized_capacity_series(
     search is labelled "lower_bracket".  With theta given, a second series of
     constrained correlation lower estimates is returned alongside.
     """
-    if k_max < 1 or k_max > 3:
+    k_max = _count(k_max, "k_max")
+    if k_max > 3:
         raise ThermocapError("k_max must lie in 1..3")
     target = shannon_capacity(ch).bits
     points = []
@@ -262,10 +264,10 @@ def regularized_capacity_series(
     for k in range(1, k_max + 1):
         chk = tensor_power_channel(ch, k)
         try:
-            res = one_shot_capacity(chk, eps, codebook_budget=codebook_budget)
+            res = one_shot_capacity(chk, eps)
             labels.append("exact")
         except SearchSpaceTooLargeError:
-            res = one_shot_capacity(chk, eps, randomized=True, samples=samples, seed=seed + k)
+            res = one_shot_capacity(chk, eps, randomized=True, seed=seed + k)
             labels.append("lower_bracket")
         points.append((k, res.bits / k))
         if theta is not None:

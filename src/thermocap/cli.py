@@ -27,7 +27,7 @@ from .bounds import (
     equilibrium_capacity_bounds,
     landauer_scenario,
 )
-from .coding import CODEBOOK_BUDGET, one_shot_capacity, theta_equilibrium_capacity
+from .coding import one_shot_capacity, theta_equilibrium_capacity
 from .core import (
     Distribution,
     ErrorParams,
@@ -37,7 +37,7 @@ from .core import (
     ThermocapError,
 )
 from .entropy import hypothesis_testing_entropy, relative_entropy, smoothed_renyi0
-from .thermo import ATOM_BUDGET, DEFAULT_E_CUT, DEFAULT_K_STEPS, extractable_work, work_from_correlation
+from .thermo import DEFAULT_E_CUT, DEFAULT_K_STEPS, extractable_work, work_from_correlation
 
 
 class _UsageError(Exception):
@@ -149,10 +149,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--temperature", type=float, default=1.0,
                         help="rescale k_B*T work outputs by this temperature")
-    parser.add_argument("--budget-codebooks", type=int, default=CODEBOOK_BUDGET)
-    parser.add_argument("--budget-atoms", type=int, default=ATOM_BUDGET)
-    parser.add_argument("--budget-samples", type=int, default=100_000,
-                        help="codebooks drawn by a randomized capacity search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     entropy = sub.add_parser("entropy", help="entropic quantities of two distributions")
@@ -226,8 +222,7 @@ def build_parser() -> _Parser:
 
 #: namespace entries that are not echoed as params: the global flags, the
 #: subcommand selectors and the runner
-_NOT_PARAMS = {"format", "out", "seed", "temperature", "budget_codebooks", "budget_atoms",
-               "budget_samples", "command", "which", "run"}
+_NOT_PARAMS = {"format", "out", "seed", "temperature", "command", "which", "run"}
 
 #: input file flags and the class each file holds
 _INPUTS = {"p": Distribution, "q": Distribution, "state": Distribution, "joint": JointDistribution,
@@ -257,13 +252,7 @@ def _run_entropy(args):
 
 
 def _run_capacity(args):
-    kwargs = dict(
-        max_messages=args.max_m,
-        codebook_budget=args.budget_codebooks,
-        randomized=args.randomized,
-        samples=args.budget_samples,
-        seed=args.seed,
-    )
+    kwargs = dict(max_messages=args.max_m, randomized=args.randomized, seed=args.seed)
     if args.theta is None:
         res = one_shot_capacity(args.channel, args.eps, **kwargs)
     else:
@@ -279,8 +268,7 @@ def _run_capacity(args):
 
 
 def _work_options(args) -> dict:
-    return dict(e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule,
-                atom_budget=args.budget_atoms)
+    return dict(e_cut=args.ecut, k_steps=args.ksteps, schedule=args.schedule)
 
 
 def _run_workext(args):
@@ -311,10 +299,8 @@ def _run_stein(args):
 
 
 def _run_capacity_series(args):
-    out = regularized_capacity_series(
-        args.channel, args.eps, k_max=args.kmax, theta=args.theta,
-        codebook_budget=args.budget_codebooks, samples=args.budget_samples, seed=args.seed,
-    )
+    out = regularized_capacity_series(args.channel, args.eps, k_max=args.kmax, theta=args.theta,
+                                      seed=args.seed)
     if args.theta is None:
         return out.to_dict()
     series, chi_series = out
@@ -336,8 +322,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if not (math.isfinite(args.temperature) and args.temperature > 0.0):
             raise _UsageError("--temperature must be finite and positive")
-        if args.budget_samples < 0:
-            raise _UsageError("--budget-samples must be at least 0")
         params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, cls in _INPUTS.items():
             if name in params:

@@ -29,8 +29,10 @@ from .core import (
 
 #: slack when comparing success probabilities against 1 - eps
 SUCCESS_TOL = 1e-12
-#: default cap on the number of codebooks one search may range over
+#: cap on the number of codebooks one search may range over
 CODEBOOK_BUDGET = 10_000_000
+#: codebooks a randomized capacity search draws
+SAMPLE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -131,20 +133,20 @@ def _codebook_from_combo(ch: StochasticChannel, combo) -> Codebook:
     return Codebook(inputs=tuple(int(x) for x in combo), decoder=ml_decoder(ch, combo))
 
 
-def _check_budget(dim_in: int, sizes, budget: int) -> None:
-    """Raise unless the codebooks of every size in `sizes` fit in `budget`."""
+def _check_budget(dim_in: int, sizes) -> None:
+    """Raise unless the codebooks of every size in `sizes` fit in CODEBOOK_BUDGET."""
     total = sum(math.comb(dim_in, m) for m in sizes)
-    if total > budget:
-        raise SearchSpaceTooLargeError(f"{total} codebooks exceed the configured budget {budget}")
+    if total > CODEBOOK_BUDGET:
+        raise SearchSpaceTooLargeError(
+            f"{total} codebooks exceed CODEBOOK_BUDGET = {CODEBOOK_BUDGET}")
 
 
-def _codebook_batches(ch: StochasticChannel, sizes, budget: int = CODEBOOK_BUDGET,
-                      batch: int = 4096):
+def _codebook_batches(ch: StochasticChannel, sizes, batch: int = 4096):
     """Codebooks of distinct input symbols for each message count in `sizes`,
     lexicographic within a size, in batches (combos, cols) where cols[b, j]
     is the likelihood column of symbol combos[b, j].  The whole enumeration
-    is checked against `budget` before it starts."""
-    _check_budget(ch.dim_in, sizes, budget)
+    is checked against CODEBOOK_BUDGET before it starts."""
+    _check_budget(ch.dim_in, sizes)
     for m in sizes:
         it = itertools.combinations(range(ch.dim_in), m)
         while chunk := list(itertools.islice(it, batch)):
@@ -179,7 +181,7 @@ def _feasible(cols: np.ndarray, eps: float, theta: float | None) -> np.ndarray:
     return ok
 
 
-def _search_exact(ch, eps, theta, m_cap, codebook_budget):
+def _search_exact(ch, eps, theta, m_cap):
     """First feasible codebook of the largest feasible message count, and the
     number of search nodes: one root per M, plus every child bounded or judged.
 
@@ -193,10 +195,10 @@ def _search_exact(ch, eps, theta, m_cap, codebook_budget):
     sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
     gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
     (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`, the theta
-    condition at leaves only.  The budget counts every codebook of the sizes
-    searched, as `_codebook_batches` does.
+    condition at leaves only.  CODEBOOK_BUDGET counts every codebook of the
+    sizes searched, as `_codebook_batches` does.
     """
-    _check_budget(ch.dim_in, range(m_cap, 0, -1), codebook_budget)
+    _check_budget(ch.dim_in, range(m_cap, 0, -1))
     n = ch.dim_in
     rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
     suffix = np.maximum.accumulate(rows[::-1])[::-1]  # suffix[j][y] = max_{x >= j} W(y|x)
@@ -236,10 +238,10 @@ def _search_exact(ch, eps, theta, m_cap, codebook_budget):
     raise ThermocapError("single-message codebooks are always feasible; this is a bug")
 
 
-def _search_randomized(ch, eps, theta, m_cap, samples, seed):
+def _search_randomized(ch, eps, theta, m_cap, seed):
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(samples):
+    for _ in range(SAMPLE_BUDGET):
         m = int(rng.integers(1, m_cap + 1))
         combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
         if best is None or m > best.message_count:
@@ -248,15 +250,14 @@ def _search_randomized(ch, eps, theta, m_cap, samples, seed):
     return best or _codebook_from_combo(ch, (0,))
 
 
-def _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed):
-    samples = _count(samples, "samples", low=0)
+def _capacity(ch, eps, theta, max_messages, randomized, seed):
     m_cap = ch.dim_in
     if max_messages is not None:
         m_cap = min(_count(max_messages, "max_messages"), ch.dim_in)
     if randomized:
-        cb = _search_randomized(ch, eps, theta, m_cap, samples, seed)
+        cb = _search_randomized(ch, eps, theta, m_cap, seed)
     else:
-        cb, _ = _search_exact(ch, eps, theta, m_cap, codebook_budget)
+        cb, _ = _search_exact(ch, eps, theta, m_cap)
     return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=not randomized,
                           method="randomized" if randomized else "exhaustive")
 
@@ -265,9 +266,7 @@ def one_shot_capacity(
     ch: StochasticChannel,
     eps: float,
     max_messages: int | None = None,
-    codebook_budget: int = CODEBOOK_BUDGET,
     randomized: bool = False,
-    samples: int = 100_000,
     seed: int = 0,
 ) -> CapacityResult:
     """One-shot classical capacity at average error eps, in bits.
@@ -276,13 +275,13 @@ def one_shot_capacity(
     decoding (optimal for classical channels) by branch-and-bound, M
     descending and lexicographic within M, and returns log2 of the largest
     feasible message count together with the first achieving codebook in
-    that order.  `codebook_budget` caps the number of codebooks of the sizes
-    searched, counted before the search starts.  Randomized mode samples
-    codebooks and its result is only a lower bracket.
+    that order.  CODEBOOK_BUDGET caps the number of codebooks of the sizes
+    searched, counted before the search starts.  Randomized mode draws
+    SAMPLE_BUDGET codebooks and its result is only a lower bracket.
     """
     if not 0.0 <= eps <= 1.0:
         raise ThermocapError("eps must lie in [0, 1]")
-    return _capacity(ch, eps, None, max_messages, codebook_budget, randomized, samples, seed)
+    return _capacity(ch, eps, None, max_messages, randomized, seed)
 
 
 def theta_equilibrium_capacity(
@@ -290,13 +289,11 @@ def theta_equilibrium_capacity(
     eps: float,
     theta: float,
     max_messages: int | None = None,
-    codebook_budget: int = CODEBOOK_BUDGET,
     randomized: bool = False,
-    samples: int = 100_000,
     seed: int = 0,
 ) -> CapacityResult:
     """One-shot capacity restricted to codebooks whose induced classical
     version moves the uniform message state by at most 2*theta in L1."""
     if not (0.0 < eps <= theta < 0.5):
         raise ThermocapError("need 0 < eps <= theta < 1/2")
-    return _capacity(ch, eps, theta, max_messages, codebook_budget, randomized, samples, seed)
+    return _capacity(ch, eps, theta, max_messages, randomized, seed)

@@ -16,7 +16,7 @@ LN2 = math.log(2.0)
 
 #: construction tolerance for normalisation / negativity checks
 SUM_TOL = 1e-9
-#: default cap on tensor-product dimensions
+#: cap on tensor-product dimensions
 DEFAULT_DIM_CAP = 1 << 20
 
 
@@ -77,6 +77,15 @@ def _count(value, name: str, low: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ThermocapError(f"{name} must be an integer >= {low}")
     return int(value)
+
+
+def _running_sum(x) -> np.ndarray:
+    """0.0 followed by the running sums of `x`, written into one array: the
+    bits of np.concatenate([[0.0], np.cumsum(x)])."""
+    out = np.empty(len(x) + 1)
+    out[0] = 0.0
+    np.cumsum(x, out=out[1:])
+    return out
 
 
 def _as_probability_array(values, shape_name: str) -> np.ndarray:
@@ -339,24 +348,26 @@ def apply_local(ch: StochasticChannel, j: JointDistribution) -> JointDistributio
     return JointDistribution(ch.matrix @ j.probs)
 
 
-def tensor_power(p: Distribution, n: int, max_dim: int = DEFAULT_DIM_CAP) -> Distribution:
-    """i.i.d. product law; lexicographic order, first factor most significant."""
-    if n < 1:
-        raise ThermocapError("n must be >= 1")
-    if p.dim ** n > max_dim:
-        raise DimensionTooLargeError(f"tensor power dimension {p.dim}^{n} exceeds cap {max_dim}")
+def tensor_power(p: Distribution, n: int) -> Distribution:
+    """i.i.d. product law; lexicographic order, first factor most significant.
+    Raises DimensionTooLargeError past DEFAULT_DIM_CAP outcomes."""
+    n = _count(n, "n")
+    if p.dim ** n > DEFAULT_DIM_CAP:
+        raise DimensionTooLargeError(
+            f"tensor power dimension {p.dim}^{n} exceeds DEFAULT_DIM_CAP = {DEFAULT_DIM_CAP}")
     out = p.probs
     for _ in range(n - 1):
         out = np.kron(out, p.probs)
     return Distribution(out)
 
 
-def tensor_power_channel(ch: StochasticChannel, n: int, max_dim: int = DEFAULT_DIM_CAP) -> StochasticChannel:
+def tensor_power_channel(ch: StochasticChannel, n: int) -> StochasticChannel:
     """i.i.d. product channel in the same index convention as tensor_power."""
-    if n < 1:
-        raise ThermocapError("n must be >= 1")
-    if max(ch.dim_in, ch.dim_out) ** n > max_dim:
-        raise DimensionTooLargeError("tensor power dimension exceeds cap")
+    n = _count(n, "n")
+    side = max(ch.dim_in, ch.dim_out)
+    if side ** n > DEFAULT_DIM_CAP:
+        raise DimensionTooLargeError(
+            f"tensor power dimension {side}^{n} exceeds DEFAULT_DIM_CAP = {DEFAULT_DIM_CAP}")
     out = ch.matrix
     for _ in range(n - 1):
         out = np.kron(out, ch.matrix)

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     _count,
     _freeze,
+    _running_sum,
     Distribution,
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -229,10 +230,6 @@ def _greedy_cover(cum, mass, start, need):
         if mass[k] > left:
             return k, left / mass[k]
     return len(mass), 0.0
-
-
-def _running_sum(mass):
-    return np.concatenate(([0.0], np.cumsum(mass)))
 
 
 def hypothesis_testing_entropy(p: Distribution, q: Distribution, eps: float):

@@ -26,6 +26,7 @@ from .core import (
     _count,
     _freeze,
     _gibbs_probs,
+    _running_sum,
     gibbs_state,
 )
 from .entropy import smoothed_renyi0
@@ -227,12 +228,11 @@ def _merge_pairs(offset: int, dense: np.ndarray):
 def work_distribution(
     proc: WorkProcess,
     eta: Distribution,
-    atom_budget: int = ATOM_BUDGET,
     resolution: float | None = None,
 ) -> WorkDistribution:
     """Distribution of the total work cost of `proc` started in `eta`.
 
-    Exact while the convolution stays inside `atom_budget` atoms; after that
+    Exact while the convolution stays inside ATOM_BUDGET atoms; after that
     values are snapped to a grid of the given resolution (default 1e-3) and
     the convolution continues exactly on the grid ("binned").  Where the
     grid window would pass _DENSE_CAP cells, the step doubles until it fits
@@ -242,7 +242,6 @@ def work_distribution(
     most one step before it (all merges together by less than the final
     step); a coarsened result reports the sum of these as grid_error.
     """
-    atom_budget = _count(atom_budget, "atom_budget")
     if resolution is not None and not 0.0 < resolution < math.inf:
         raise ThermocapError("resolution must be finite and positive")
     res = resolution if resolution is not None else 1e-3
@@ -251,7 +250,7 @@ def work_distribution(
     values = np.zeros(1)
     probs = np.ones(1)
     for n_exact, (seg_values, seg_probs) in enumerate(segments):
-        if values.size * seg_values.size > atom_budget:
+        if values.size * seg_values.size > ATOM_BUDGET:
             break
         values, probs = _convolve_exact(values, probs, seg_values, seg_probs)
     else:
@@ -308,7 +307,7 @@ def _gain_cdf(wd: WorkDistribution, eps: float):
     else:
         order = np.argsort(-wd.values)
         gains, probs = 0.0 - wd.values[order], wd.probs[order]
-    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    cum = _running_sum(probs)
     return gains, probs, cum, (1.0 - eps) - 1e-12
 
 
@@ -338,7 +337,7 @@ def shortest_confidence_interval(wd: WorkDistribution, eps: float):
     distance to the interval's edges, since its window covers the interval.
     """
     gains, probs, cum, need = _gain_cdf(wd, eps)
-    weighted = np.concatenate([[0.0], np.cumsum(gains * probs)])
+    weighted = _running_sum(gains * probs)
 
     # window [i, j] qualifies when cum[j + 1] - cum[i] > need.  Rounding is
     # monotone, so for each i the qualifying cum[j + 1] are the floats from
@@ -469,7 +468,6 @@ def extractable_work(
     e_cut: float = DEFAULT_E_CUT,
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
-    atom_budget: int = ATOM_BUDGET,
 ) -> WorkExtractionResult:
     """Simulated extractable work of the quench/thermalise protocol.
 
@@ -482,10 +480,9 @@ def extractable_work(
     """
     if delta is not None:
         _check_delta(delta)
-    atom_budget = _count(atom_budget, "atom_budget")
     proc, d0 = extraction_protocol(eta, h, eps, e_cut=e_cut, k_steps=k_steps, schedule=schedule)
     resolution = min(delta / 10.0, 1e-3) if delta else 1e-4
-    wd = work_distribution(proc, eta, atom_budget=atom_budget, resolution=resolution)
+    wd = work_distribution(proc, eta, resolution=resolution)
     window = None
     if delta is None:
         lo, hi, value = shortest_confidence_interval(wd, eps)
@@ -562,7 +559,6 @@ def work_from_correlation(
     e_cut: float = DEFAULT_E_CUT,
     k_steps: int = DEFAULT_K_STEPS,
     schedule: str = "angle",
-    atom_budget: int = ATOM_BUDGET,
 ) -> WorkCorrelationResult:
     """Extractable work from a bipartite table's correlation.
 
@@ -581,7 +577,6 @@ def work_from_correlation(
         e_cut=e_cut,
         k_steps=k_steps,
         schedule=schedule,
-        atom_budget=atom_budget,
     )
     return WorkCorrelationResult(
         value=res.value,

@@ -22,7 +22,13 @@ from thermocap import (
 from thermocap import asymptotics
 from thermocap.asymptotics import _flat_dirichlet, _mutual_information_bits
 from thermocap.coding import _codebook_batches, _uniform_deviation
-from thermocap.core import SearchSpaceTooLargeError, SupportViolationError, ThermocapError
+from thermocap.core import (
+    ConvergenceError,
+    DimensionMismatchError,
+    SearchSpaceTooLargeError,
+    SupportViolationError,
+    ThermocapError,
+)
 
 from conftest import random_channel
 
@@ -82,6 +88,8 @@ class TestSteinSeries:
 
     def test_support_and_size_checks(self):
         p = Distribution([0.5, 0.5])
+        with pytest.raises(DimensionMismatchError, match="binary"):
+            stein_series(Distribution([0.5, 0.25, 0.25]), p, 0.1, 50)
         with pytest.raises(SupportViolationError):
             stein_series(p, Distribution([1.0, 0.0]), 0.1, 50)
         for n_max in (0, 100_000):
@@ -139,6 +147,20 @@ class TestShannonCapacity:
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             res = shannon_capacity(ch, tol=1e-9)
             assert res.bracket[1] - res.bracket[0] < 1e-9
+
+    def test_iteration_budget_raises_with_the_last_bracket(self, monkeypatch):
+        # a Z channel: the uniform input is not optimal, so the bracket
+        # closes only after some steps
+        ch = StochasticChannel([[1.0, 0.4], [0.0, 0.6]])
+        steps = shannon_capacity(ch).iterations
+        assert steps > 2
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 2)
+        with pytest.raises(ConvergenceError, match="ITERATION_BUDGET = 2") as err:
+            shannon_capacity(ch)
+        lower, upper = err.value.bracket
+        assert 0.0 < lower < upper
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", steps)
+        assert shannon_capacity(ch).iterations == steps
 
     def test_degraded_channel_never_gains(self, rng):
         for _ in range(10):
@@ -322,6 +344,18 @@ class TestRegularizedSeries:
         assert len(chi_series.points) == 2
         for (_, v), (_, c) in zip(series.points, chi_series.points):
             assert c <= series.target + 1e-6
+
+    @pytest.mark.parametrize("k_max", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_bad_copy_count_rejected(self, k_max):
+        # 2.5 raised a bare TypeError and True ran as one copy
+        with pytest.raises(ThermocapError, match="k_max must be an integer >= 1"):
+            regularized_capacity_series(StochasticChannel.identity(2), 0.1, k_max=k_max)
+
+    def test_copy_count_limits(self):
+        with pytest.raises(ThermocapError, match="k_max must lie in 1..3"):
+            regularized_capacity_series(StochasticChannel.identity(2), 0.1, k_max=4)
+        series = regularized_capacity_series(StochasticChannel.identity(2), 0.1, k_max=np.int64(2))
+        assert series == regularized_capacity_series(StochasticChannel.identity(2), 0.1, k_max=2)
 
     def test_strictly_increasing_n_guard(self):
         with pytest.raises(ThermocapError):

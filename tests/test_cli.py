@@ -411,15 +411,14 @@ class TestErrorPaths:
         # chi-bar's message cap is checked as capacity's is
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "0"],
         ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25", "--max-m", "-1"],
-        # the work budget: at least one atom; and no negative sample budget
-        ["--budget-atoms", "0", "workext", "--state", "state2", "--hamiltonian", "ham2",
+        # a capacity series runs 1 to 3 copies
+        ["asymptotics", "capacity-series", "--channel", "bsc01", "--eps", "0.1", "--kmax", "0"],
+        ["asymptotics", "capacity-series", "--channel", "bsc01", "--eps", "0.1", "--kmax", "4"],
+        # the search budgets are module constants, and no flag sets them
+        ["--budget-atoms", "5", "workext", "--state", "state2", "--hamiltonian", "ham2",
          "--eps", "0.15"],
-        ["--budget-atoms", "-5", "wcorr", "--joint", "phi2", "--eps", "0.05"],
-        ["--budget-samples", "-1", "workext", "--state", "state2", "--hamiltonian", "ham2",
-         "--eps", "0.15"],
-        ["--budget-samples", "-1", "wcorr", "--joint", "phi2", "--eps", "0.05"],
-        # the sample budget of the randomized capacity search
-        ["--budget-samples", "-1", "capacity", "--channel", "bsc01", "--eps", "0.1",
+        ["--budget-codebooks", "5", "capacity", "--channel", "bsc01", "--eps", "0.1"],
+        ["--budget-samples", "5", "capacity", "--channel", "bsc01", "--eps", "0.1",
          "--randomized"],
     ])
     def test_bad_argument(self, capsys, files, argv):

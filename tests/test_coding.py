@@ -14,6 +14,7 @@ from thermocap import (
     success_probability,
     theta_equilibrium_capacity,
 )
+from thermocap import coding
 from thermocap.coding import (
     _codebook_batches,
     _feasible,
@@ -152,11 +153,14 @@ class TestOneShotCapacity:
             ch = random_channel(rng, 5, 3)
             assert one_shot_capacity(ch, 0.3).bits <= math.log2(5) + 1e-12
 
-    def test_budget_error_and_randomized_bracket(self, rng):
+    def test_budget_error_and_randomized_bracket(self, rng, monkeypatch):
         ch = random_channel(rng, 12, 12)
-        with pytest.raises(SearchSpaceTooLargeError):
-            one_shot_capacity(ch, 0.3, codebook_budget=10)
-        res = one_shot_capacity(ch, 0.3, randomized=True, samples=500, seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(coding, "CODEBOOK_BUDGET", 10)
+            with pytest.raises(SearchSpaceTooLargeError):
+                one_shot_capacity(ch, 0.3)
+        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 500)
+        res = one_shot_capacity(ch, 0.3, randomized=True, seed=1)
         assert not res.exact
         exact = one_shot_capacity(ch, 0.3)
         assert res.bits <= exact.bits + 1e-12
@@ -182,20 +186,15 @@ class TestOneShotCapacity:
         ch = StochasticChannel.identity(4)
         assert one_shot_capacity(ch, 0.1, max_messages=np.int64(2)).bits == 1.0
 
-    @pytest.mark.parametrize("samples", [-1, 2.5, 3.0, True, "3", None])
-    def test_bad_samples_rejected(self, samples):
-        ch = StochasticChannel.identity(3)
-        with pytest.raises(ThermocapError, match="samples must be an integer >= 0"):
-            one_shot_capacity(ch, 0.1, randomized=True, samples=samples)
-        with pytest.raises(ThermocapError, match="samples must be an integer >= 0"):
-            theta_equilibrium_capacity(ch, 0.1, 0.25, randomized=True, samples=samples)
-
-    def test_sample_budget_limits_and_numpy_integers_accepted(self):
+    def test_sample_budget_limits_and_numpy_integers_accepted(self, monkeypatch):
         ch = StochasticChannel.identity(3)
         # no draw at all leaves the one-message codebook
-        assert one_shot_capacity(ch, 0.1, randomized=True, samples=0).bits == 0.0
-        want = one_shot_capacity(ch, 0.1, randomized=True, samples=50, seed=2)
-        got = one_shot_capacity(ch, 0.1, randomized=True, samples=np.int32(50), seed=2)
+        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 0)
+        assert one_shot_capacity(ch, 0.1, randomized=True).bits == 0.0
+        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 50)
+        want = one_shot_capacity(ch, 0.1, randomized=True, seed=2)
+        monkeypatch.setattr(coding, "SAMPLE_BUDGET", np.int32(50))
+        got = one_shot_capacity(ch, 0.1, randomized=True, seed=2)
         assert got == want
 
     def test_deterministic_encoders_suffice(self, rng):
@@ -295,11 +294,13 @@ class TestBatchedEnumerator:
                     + list(itertools.combinations(range(6), 2)))
         assert seen == expected
 
-    def test_budget_covers_every_size(self):
+    def test_budget_covers_every_size(self, monkeypatch):
         ch = StochasticChannel.identity(5)
-        with pytest.raises(SearchSpaceTooLargeError):
-            next(_codebook_batches(ch, range(1, 6), budget=30))
-        assert sum(len(c) for c, _ in _codebook_batches(ch, range(1, 6), budget=31)) == 31
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 30)
+        with pytest.raises(SearchSpaceTooLargeError, match="CODEBOOK_BUDGET = 30"):
+            next(_codebook_batches(ch, range(1, 6)))
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 31)
+        assert sum(len(c) for c, _ in _codebook_batches(ch, range(1, 6))) == 31
 
     @pytest.mark.parametrize("ch", enumeration_channels())
     def test_helpers_match_classical_version(self, ch):
@@ -324,14 +325,14 @@ class TestBranchAndBound:
             dim_in = int(rng.integers(10, 15))
             ch = StochasticChannel(rng.dirichlet(np.full(dim_in, 0.2), size=dim_in).T)
             eps = float(rng.choice([0.05, 0.1, 0.2]))
-            cb, _ = _search_exact(ch, eps, theta, dim_in, 10**7)
+            cb, _ = _search_exact(ch, eps, theta, dim_in)
             assert cb.inputs == first_feasible_enumerated(ch, eps, theta)
             assert cb.decoder == ml_decoder(ch, cb.inputs)
 
     def test_node_ceiling_dirichlet_d16(self):
         rng = np.random.default_rng(1)
         ch = StochasticChannel(rng.dirichlet(np.full(16, 0.2), size=16).T)
-        cb, nodes = _search_exact(ch, 0.1, None, 16, 10**7)
+        cb, nodes = _search_exact(ch, 0.1, None, 16)
         assert cb.inputs == (0, 2, 3, 4)
         # 474 nodes when this ceiling was set; a full walk in the same order
         # scores 63,111 codebooks up to this one
@@ -339,7 +340,7 @@ class TestBranchAndBound:
 
     def test_node_ceiling_bsc4(self):
         ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
-        cb, nodes = _search_exact(ch, 0.1, None, 16, 10**7)
+        cb, nodes = _search_exact(ch, 0.1, None, 16)
         assert cb.inputs == tuple(range(7))
         # 12,610 nodes when this ceiling was set
         assert nodes <= 16_000
@@ -347,13 +348,16 @@ class TestBranchAndBound:
     def test_unreachable_sizes_cost_one_node_each(self):
         # a constant channel has success at most 1/M, so the cover-all bound
         # at the root refutes every M >= 2
-        cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, None, 12, 10**7)
+        cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, None, 12)
         assert cb.inputs == (0,)
         assert nodes == 11 + 1 + 12
 
-    def test_budget_counts_every_size(self):
+    def test_budget_counts_every_size(self, monkeypatch):
         # the search raises on exactly the enumeration's budget: 2^12 - 1
         ch = StochasticChannel.identity(12)
-        with pytest.raises(SearchSpaceTooLargeError):
-            one_shot_capacity(ch, 0.1, codebook_budget=4094)
-        assert one_shot_capacity(ch, 0.1, codebook_budget=4095).bits == math.log2(12)
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 4094)
+        with pytest.raises(SearchSpaceTooLargeError,
+                           match="4095 codebooks exceed CODEBOOK_BUDGET = 4094"):
+            one_shot_capacity(ch, 0.1)
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 4095)
+        assert one_shot_capacity(ch, 0.1).bits == math.log2(12)

@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import thermocap
+from thermocap import core
 from thermocap import (
     Distribution,
     Hamiltonian,
@@ -16,7 +21,12 @@ from thermocap import (
     tensor_power_channel,
     trace_distance,
 )
-from thermocap.core import DimensionMismatchError, DimensionTooLargeError, _gibbs_probs
+from thermocap.core import (
+    DimensionMismatchError,
+    DimensionTooLargeError,
+    _gibbs_probs,
+    _running_sum,
+)
 
 from conftest import random_channel, random_distribution
 
@@ -174,9 +184,69 @@ class TestTensorPowers:
         with pytest.raises(DimensionTooLargeError):
             tensor_power(Distribution([0.5, 0.5]), 25)
 
+    def test_dimension_cap_is_read_at_call_time(self, monkeypatch):
+        p, ch = Distribution([0.5, 0.5]), StochasticChannel.binary_symmetric(0.1)
+        monkeypatch.setattr(core, "DEFAULT_DIM_CAP", 8)
+        assert tensor_power(p, 3).dim == 8
+        assert tensor_power_channel(ch, 3).dim_in == 8
+        with pytest.raises(DimensionTooLargeError, match=r"2\^4 exceeds DEFAULT_DIM_CAP = 8"):
+            tensor_power(p, 4)
+        with pytest.raises(DimensionTooLargeError, match=r"2\^4 exceeds DEFAULT_DIM_CAP = 8"):
+            tensor_power_channel(ch, 4)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_bad_copy_count_rejected(self, n):
+        # 2.5 raised a bare TypeError and True ran as one copy
+        with pytest.raises(ThermocapError, match="n must be an integer >= 1"):
+            tensor_power(Distribution([0.7, 0.3]), n)
+        with pytest.raises(ThermocapError, match="n must be an integer >= 1"):
+            tensor_power_channel(StochasticChannel.binary_symmetric(0.1), n)
+
+    def test_numpy_integer_copy_count_accepted(self):
+        p, ch = Distribution([0.7, 0.3]), StochasticChannel.binary_symmetric(0.1)
+        assert tensor_power(p, np.int64(3)).probs.tobytes() == tensor_power(p, 3).probs.tobytes()
+        assert (tensor_power_channel(ch, np.int32(2)).matrix.tobytes()
+                == tensor_power_channel(ch, 2).matrix.tobytes())
+
     def test_channel_factorises_on_products(self, rng):
         ch = random_channel(rng, 2, 3)
         p = random_distribution(rng, 2)
         big = tensor_power_channel(ch, 2).apply(tensor_power(p, 2))
         small = ch.apply(p)
         assert np.allclose(big.probs, np.kron(small.probs, small.probs), atol=1e-12)
+
+
+class TestRunningSum:
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_matches_the_concatenate_form(self, rng, n):
+        x = rng.dirichlet(np.ones(n)) if n else np.zeros(0)
+        for view in (x, x[::-1], x[::2]):
+            want = np.concatenate([[0.0], np.cumsum(view)])
+            got = _running_sum(view)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def _exported_callables():
+    """Every public function and class, exceptions aside, that a thermocap
+    module defines."""
+    for info in pkgutil.iter_modules(thermocap.__path__):
+        module = importlib.import_module(f"thermocap.{info.name}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and not (isinstance(obj, type) and issubclass(obj, Exception))):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_search_budgets_are_module_constants():
+    # each budget is one constant its module reads at call time, so no
+    # exported signature may carry one
+    seen = 0
+    for qualname, obj in _exported_callables():
+        params = inspect.signature(obj).parameters
+        bad = [p for p in params
+               if "budget" in p or p in ("samples", "max_dim", "max_iter")]
+        assert not bad, f"{qualname} takes {bad}"
+        seen += 1
+    assert seen > 40

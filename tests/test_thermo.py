@@ -29,6 +29,9 @@ from thermocap.thermo import WorkDistribution, restrict_support, shortest_confid
 
 from conftest import random_distribution
 
+#: the atom budget work_distribution reads, before any test patches it
+DEFAULT_ATOM_BUDGET = thermo.ATOM_BUDGET
+
 
 def _random_quench_process():
     """Twelve seeded random quenches on three levels, each thermalised: far
@@ -133,7 +136,7 @@ class TestWorkDistribution:
         assert payload["mode"] == "exact"
         assert sum(p for _, p in payload["atoms"]) == pytest.approx(1.0)
 
-    def test_monte_carlo_results_carry_the_dkw_band(self):
+    def test_monte_carlo_results_carry_the_dkw_band(self, monkeypatch):
         eta = Distribution([0.6, 0.3, 0.1])
         h = Hamiltonian([0.0, 0.7, 1.5])
         joint = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
@@ -141,31 +144,33 @@ class TestWorkDistribution:
                 "k_steps", "distribution_mode", "witness_indices", "window_kT"]
         corr_keys = ["value_kT", "delta_kT", "eps", "entropy_bits", "bracket_kT",
                      "support_a", "support_b", "distribution_mode"]
-        small = dict(k_steps=20, atom_budget=50)
         # exact and binned payloads keep exactly their keys
-        for kwargs in ({"k_steps": 2}, small):
-            res = extractable_work(eta, h, 0.1, **kwargs)
+        for k_steps, budget in ((2, DEFAULT_ATOM_BUDGET), (20, 50)):
+            monkeypatch.setattr(thermo, "ATOM_BUDGET", budget)
+            res = extractable_work(eta, h, 0.1, k_steps=k_steps)
             assert res.distribution_mode in ("exact", "binned")
             assert list(res.to_dict()) == keys
-            corr = work_from_correlation(joint, 0.1, **kwargs)
+            corr = work_from_correlation(joint, 0.1, k_steps=k_steps)
             assert list(corr.to_dict()) == corr_keys
 
-    def test_grid_far_from_zero(self):
+    def test_grid_far_from_zero(self, monkeypatch):
         # every trajectory pays a 1e19 quench first: 1e22 cells of the grid,
         # past int64, while the window spans a few thousand cells
         levels = [[0.0, 0.0], [0.0, 1e19], [0.0, 0.5]]
         levels += [[0.3 * (i % 3), 0.5 + 0.2 * (i % 2)] for i in range(1, 8)] + [[0.0, 0.0]]
         proc, eta = WorkProcess(levels), Distribution([0.0, 1.0])
         exact = work_distribution(proc, eta)
-        wd = work_distribution(proc, eta, atom_budget=1)
+        monkeypatch.setattr(thermo, "ATOM_BUDGET", 1)
+        wd = work_distribution(proc, eta)
         assert (exact.mode, wd.mode) == ("exact", "binned")
         assert wd.mean == pytest.approx(exact.mean, rel=1e-15)
 
     @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf])
-    def test_resolution_must_be_finite_and_positive(self, resolution):
+    def test_resolution_must_be_finite_and_positive(self, monkeypatch, resolution):
+        monkeypatch.setattr(thermo, "ATOM_BUDGET", 50)
         proc, eta = _random_quench_process()
         with pytest.raises(ThermocapError):
-            work_distribution(proc, eta, atom_budget=50, resolution=resolution)
+            work_distribution(proc, eta, resolution=resolution)
 
 
 class TestEpsDeltaWork:
@@ -214,33 +219,17 @@ class TestWorkInputs:
         with pytest.raises(ThermocapError):
             eps_delta_work(wd, 0.15, delta)
 
-    @pytest.mark.parametrize("budgets", [
-        {"atom_budget": -5}, {"atom_budget": 0}, {"atom_budget": 2.5},
-        {"atom_budget": True}, {"atom_budget": "10"}, {"atom_budget": None},
-    ])
-    def test_bad_budgets_rejected_before_the_protocol(self, monkeypatch, budgets):
-        (name,) = budgets
+    def test_budget_limits_and_numpy_integers_accepted(self, monkeypatch):
         proc, eta = _random_quench_process()
-        with pytest.raises(ThermocapError, match=name):
-            work_distribution(proc, eta, **budgets)
-
-        def never(*args, **kwargs):
-            raise AssertionError("protocol built for an invalid budget")
-
-        monkeypatch.setattr(thermo, "extraction_protocol", never)
-        with pytest.raises(ThermocapError, match=name):
-            extractable_work(Distribution([0.9, 0.1]), Hamiltonian([0.0, 0.0]), 0.15, **budgets)
-        with pytest.raises(ThermocapError, match=name):
-            work_from_correlation(maximally_correlated(2), 0.15, **budgets)
-
-    def test_budget_limits_and_numpy_integers_accepted(self):
-        proc, eta = _random_quench_process()
-        want = work_distribution(proc, eta, atom_budget=50)
+        monkeypatch.setattr(thermo, "ATOM_BUDGET", 50)
+        want = work_distribution(proc, eta)
         for budget in (np.int64(50), np.int32(50)):
-            got = work_distribution(proc, eta, atom_budget=budget)
+            monkeypatch.setattr(thermo, "ATOM_BUDGET", budget)
+            got = work_distribution(proc, eta)
             assert got.values.tobytes() == want.values.tobytes()
             assert got.probs.tobytes() == want.probs.tobytes()
-        assert work_distribution(proc, eta, atom_budget=1).mode == "binned"
+        monkeypatch.setattr(thermo, "ATOM_BUDGET", 1)
+        assert work_distribution(proc, eta).mode == "binned"
 
     @pytest.mark.parametrize("e_cut", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_e_cut_rejected(self, e_cut):
@@ -735,9 +724,10 @@ def argsort_atoms(values, probs):
     return values[order], probs[order] / probs.sum()
 
 
-def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution=None):
+def loop_work_distribution(proc, eta, resolution=None):
     """work_distribution with each grid stage rounding its own shifts, as
-    before the one-pass grid phase, and coarsening stage by stage; returns
+    before the one-pass grid phase, and coarsening stage by stage, at the
+    atom budget thermo.ATOM_BUDGET holds when it is called; returns
     (values, probs, mode, resolution, grid error, grid stages run).  The
     exact phase is thermo._convolve_exact, which TestConvolveExact pins to
     its own reference."""
@@ -745,7 +735,7 @@ def loop_work_distribution(proc, eta, atom_budget=thermo.ATOM_BUDGET, resolution
     segments = thermo._segments(proc, eta)
     values, probs = np.zeros(1), np.ones(1)
     for n_exact, (seg_values, seg_probs) in enumerate(segments):
-        if values.size * seg_values.size > atom_budget:
+        if values.size * seg_values.size > thermo.ATOM_BUDGET:
             break
         values, probs = thermo._convolve_exact(values, probs, seg_values, seg_probs)
     else:
@@ -806,10 +796,11 @@ def _count_grid_stages(monkeypatch):
     return calls
 
 
-def _assert_pipeline_matches(monkeypatch, proc, eta, eps, **kwargs):
+def _assert_pipeline_matches(monkeypatch, proc, eta, eps, atom_budget, resolution=None):
+    monkeypatch.setattr(thermo, "ATOM_BUDGET", atom_budget)
     stages = _count_grid_stages(monkeypatch)
-    wd = work_distribution(proc, eta, **kwargs)
-    values, probs, *labels = loop_work_distribution(proc, eta, **kwargs)
+    wd = work_distribution(proc, eta, resolution=resolution)
+    values, probs, *labels = loop_work_distribution(proc, eta, resolution=resolution)
     assert wd.values.tobytes() == values.tobytes()
     assert wd.probs.tobytes() == probs.tobytes()
     assert [wd.mode, wd.resolution, wd.grid_error, len(stages)] == labels
@@ -835,7 +826,7 @@ class TestWorkPipeline:
                 for resolution in (1e-4, float(rng.uniform(0.2, 0.5)) / 10.0):
                     # forced binning early and late, and the default budget
                     # where it stays cheap
-                    budgets = (10, 1000) + ((thermo.ATOM_BUDGET,) if d == 2 else ())
+                    budgets = (10, 1000) + ((DEFAULT_ATOM_BUDGET,) if d == 2 else ())
                     for atom_budget in budgets:
                         wd = _assert_pipeline_matches(monkeypatch, proc, eta, eps,
                                                       atom_budget=atom_budget,
@@ -847,7 +838,7 @@ class TestWorkPipeline:
         proc, eta = _random_quench_process()
         short = WorkProcess(proc.levels[[0, 1, 2, 3, 4, -1]])
         modes = [_assert_pipeline_matches(monkeypatch, p, eta, 0.1, atom_budget=budget).mode
-                 for p in (proc, short) for budget in (1, 10, 50, 1000, thermo.ATOM_BUDGET)]
+                 for p in (proc, short) for budget in (1, 10, 50, 1000, DEFAULT_ATOM_BUDGET)]
         assert modes == ["binned"] * 5 + ["binned"] * 3 + ["exact"] * 2
 
     @pytest.mark.parametrize("cap", [2_000, 6_000])
@@ -883,7 +874,8 @@ class TestWorkPipeline:
         exact = work_distribution(proc, eta)
         assert exact.mode == "exact"
         monkeypatch.setattr(thermo, "_DENSE_CAP", cap)
-        wd = work_distribution(proc, eta, atom_budget=atom_budget)
+        monkeypatch.setattr(thermo, "ATOM_BUDGET", atom_budget)
+        wd = work_distribution(proc, eta)
         assert wd.mode == "coarsened"
         assert wd.grid_error < np.ptp(exact.values)
         for x in np.concatenate([exact.values, wd.values]):
