@@ -31,7 +31,6 @@ from .entropy import (
 )
 from .coding import (
     Codebook,
-    ClassicalVersion,
     classical_version,
     gibbs_deviation,
     ml_decoder,

@@ -19,7 +19,6 @@ from .coding import (
 )
 from .core import (
     _count,
-    _runs,
     ConvergenceError,
     DimensionMismatchError,
     Distribution,
@@ -76,9 +75,10 @@ def stein_series(
         raise ThermocapError("n_max is capped at 10^4")
     n_points = _count(n_points, "n_points")
     logs_p, logs_q = _binary_laws(p, q, eps)
-    # the grid starts at 10^0 = 1, so it is never empty
-    grid, _ = _runs(np.sort(np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)))
-    grid = grid.tolist()
+    # the grid starts at 10^0 = 1, so it is never empty; rounding leaves it
+    # ascending, and only neighbours can repeat
+    grid = np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])].tolist()
     # one table of ln k! for the largest n; each point reads a prefix of it
     log_fact = _log_factorials(grid[-1])
     points = tuple(
@@ -116,8 +116,8 @@ def shannon_capacity(ch: StochasticChannel, tol: float = 1e-9) -> ShannonCapacit
     iteration stops once they agree to within tol.  Past ITERATION_BUDGET
     steps it raises ConvergenceError with the last bracket attached.
     """
-    if tol <= 0.0:
-        raise ThermocapError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ThermocapError("tol must be finite and positive")
     matrix = ch.matrix
     r = np.full(ch.dim_in, 1.0 / ch.dim_in)
     for iteration in range(1, ITERATION_BUDGET + 1):

@@ -108,7 +108,7 @@ def _upper_witness(ch: StochasticChannel, codebook, eps: float):
     Renyi-0 result of its output on the maximally correlated input."""
     cv = classical_version(ch, codebook)
     m = codebook.message_count
-    q, r = _output_joint(cv.composed.matrix, np.eye(m) / m)
+    q, r = _output_joint(cv.matrix, np.eye(m) / m)
     return gibbs_deviation(cv), smoothed_renyi0(q, r, eps)
 
 
@@ -219,7 +219,7 @@ def capacity_work_bounds(
     best_desc = None
     rng = np.random.default_rng(seed)
     for cb in _best_codebooks_per_size(ch):
-        t = classical_version(ch, cb).composed.matrix
+        t = classical_version(ch, cb).matrix
         m = cb.message_count
         inputs = [np.eye(m) / m]
         for _ in range(max(1, n_random // max(1, ch.dim_in))):
@@ -356,7 +356,7 @@ def landauer_scenario(
         raise NoFeasibleCodebookError("no codebook with at least two messages is feasible")
 
     cv = classical_version(ch, cap.codebook)
-    t = cv.composed.matrix
+    t = cv.matrix
     exact_ps = success_probability(cv)
 
     rng = np.random.default_rng(seed)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,52 +53,35 @@ class Codebook:
         return len(self.inputs)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalVersion:
-    """Classical M-to-M realisation pre -> base -> post of a channel."""
-
-    pre: StochasticChannel
-    post: StochasticChannel
-    base: StochasticChannel
-
-    def __post_init__(self):
-        if self.pre.dim_out != self.base.dim_in or self.base.dim_out != self.post.dim_in:
-            raise DimensionMismatchError("pre/base/post dimensions do not chain")
-
-    @cached_property
-    def composed(self) -> StochasticChannel:
-        return StochasticChannel(self.post.matrix @ self.base.matrix @ self.pre.matrix)
-
-    @property
-    def message_count(self) -> int:
-        return self.pre.dim_in
+def _symbols(inputs, dim_in: int) -> list:
+    """`inputs` as a list, when every entry is an integer in 0..dim_in-1
+    (numpy integers too, bool not); anything else raises
+    DimensionMismatchError."""
+    symbols = list(inputs)
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < dim_in
+               for x in symbols):
+        raise DimensionMismatchError(f"input symbols must be integers in 0..{dim_in - 1}")
+    return symbols
 
 
-def encoder_channel(codebook: Codebook, dim_in: int) -> StochasticChannel:
-    mat = np.zeros((dim_in, codebook.message_count))
-    for m, x in enumerate(codebook.inputs):
-        mat[x, m] = 1.0
-    return StochasticChannel(mat)
+def classical_version(ch: StochasticChannel, codebook: Codebook) -> StochasticChannel:
+    """The classical version of a codebook: the M-to-M channel
+    decoder o ch o encoder, from one-hot encoder and decoder matrices."""
+    inputs = _symbols(codebook.inputs, ch.dim_in)
+    if len(codebook.decoder) != ch.dim_out:
+        raise DimensionMismatchError(
+            f"decoder has {len(codebook.decoder)} entries for {ch.dim_out} channel outputs")
+    m = codebook.message_count
+    pre = np.zeros((ch.dim_in, m))
+    pre[inputs, np.arange(m)] = 1.0
+    post = np.zeros((m, ch.dim_out))
+    post[list(codebook.decoder), np.arange(ch.dim_out)] = 1.0
+    return StochasticChannel(post @ ch.matrix @ pre)
 
 
-def decoder_channel(codebook: Codebook, dim_out: int) -> StochasticChannel:
-    mat = np.zeros((codebook.message_count, dim_out))
-    for y, m in enumerate(codebook.decoder):
-        mat[m, y] = 1.0
-    return StochasticChannel(mat)
-
-
-def classical_version(ch: StochasticChannel, codebook: Codebook) -> ClassicalVersion:
-    return ClassicalVersion(
-        pre=encoder_channel(codebook, ch.dim_in),
-        post=decoder_channel(codebook, ch.dim_out),
-        base=ch,
-    )
-
-
-def success_probability(cv: ClassicalVersion) -> float:
-    """Average diagonal of the composed M-to-M channel."""
-    t = cv.composed.matrix
+def success_probability(cv: StochasticChannel) -> float:
+    """Average diagonal of a classical version."""
+    t = cv.matrix
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatchError("composed channel must be square")
     return float(np.trace(t) / t.shape[0])
@@ -109,16 +92,15 @@ def ml_decoder(ch: StochasticChannel, inputs) -> tuple:
     message index; optimal on average for the uniform message prior."""
     if len(inputs) == 0:
         raise ThermocapError("inputs must be nonempty")
-    cols = ch.matrix[:, list(inputs)]
+    cols = ch.matrix[:, _symbols(inputs, ch.dim_in)]
     return tuple(int(i) for i in np.argmax(cols, axis=1))
 
 
-def gibbs_deviation(cv: ClassicalVersion) -> float:
-    """L1 distance between the composed channel's image of the uniform
+def gibbs_deviation(cv: StochasticChannel) -> float:
+    """L1 distance between a classical version's image of the uniform
     message distribution and uniform itself."""
-    m = cv.message_count
-    uniform = Distribution.uniform(m)
-    return trace_distance(cv.composed.apply(uniform), uniform)
+    uniform = Distribution.uniform(cv.dim_in)
+    return trace_distance(cv.apply(uniform), uniform)
 
 
 @dataclass(frozen=True)
@@ -160,7 +142,8 @@ def _ml_success(cols: np.ndarray) -> np.ndarray:
 
 
 def _ml_composed(cols: np.ndarray) -> np.ndarray:
-    """ClassicalVersion.composed of every codebook in a batch, in the same float order."""
+    """classical_version(ch, cb).matrix of every ML codebook cb in a batch,
+    with the same bits."""
     decoded = cols.argmax(axis=1)[:, None, :] == np.arange(cols.shape[1])[:, None]
     t = decoded @ cols.transpose(0, 2, 1)
     return t / t.sum(axis=1, keepdims=True)

@@ -63,14 +63,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _runs(ints: np.ndarray):
-    """Distinct entries of the sorted int array `ints` and how often each
-    occurs: np.unique(ints, return_counts=True), which imports numpy.ma
-    (about 3.5 MB) on first use."""
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ints)) + 1))
-    return ints[starts], np.diff(np.append(starts, ints.size))
-
-
 def _count(value, name: str, low: int = 1) -> int:
     """`value` as an int when it is an integer >= low (numpy integers too,
     bool not); anything else raises ThermocapError naming `name`."""

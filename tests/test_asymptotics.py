@@ -121,6 +121,21 @@ class TestSteinSeries:
         # more points than copy numbers: the grid keeps each n once
         assert [n for n, _ in stein_series(p, q, 0.1, 3, 40).points] == [1, 2, 3]
 
+    @pytest.mark.parametrize("n_max,n_points", [
+        (1, 1), (1, 24), (2, 5), (7, 40), (50, 3), (200, 24), (200, 300), (10_000, 24),
+    ])
+    def test_grid_is_the_sorted_distinct_rounded_log_grid(self, n_max, n_points):
+        p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        raw = np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)
+        assert [n for n, _ in stein_series(p, q, 0.1, n_max, n_points).points] \
+            == sorted(set(raw.tolist()))
+
+    def test_series_rejects_a_grid_that_is_not_strictly_increasing(self):
+        for ns in ((1, 1), (2, 1)):
+            with pytest.raises(ThermocapError, match="strictly increasing"):
+                ConvergenceSeries(points=tuple((n, 0.0) for n in ns), target=0.0,
+                                  target_label="")
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
     def test_eps_checked_once_before_any_point(self, eps):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
@@ -147,6 +162,13 @@ class TestShannonCapacity:
             ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             res = shannon_capacity(ch, tol=1e-9)
             assert res.bracket[1] - res.bracket[0] < 1e-9
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # nan used to run every iteration and then raise ConvergenceError,
+        # inf to return after one step
+        with pytest.raises(ThermocapError, match="tol must be finite and positive"):
+            shannon_capacity(StochasticChannel.binary_symmetric(0.1), tol=tol)
 
     def test_iteration_budget_raises_with_the_last_bracket(self, monkeypatch):
         # a Z channel: the uniform input is not optimal, so the bracket
@@ -217,7 +239,7 @@ class TestConstrainedHolevo:
         StochasticChannel(np.eye(3)[:, [0, 1, 2, 0]]),  # duplicate symbol: tied witnesses
     ])
     def test_deterministic_witness_matches_reference_loop(self, ch):
-        # reference: one ClassicalVersion per combination, and only a
+        # reference: one classical version per combination, and only a
         # strictly better value replaces the incumbent
         for theta in (0.05, 0.25, 0.45):
             best, witness = 0.0, None
@@ -225,7 +247,7 @@ class TestConstrainedHolevo:
                 uniform = np.full(m, 1.0 / m)
                 for combo in itertools.combinations(range(ch.dim_in), m):
                     cb = Codebook(inputs=combo, decoder=ml_decoder(ch, combo))
-                    t = classical_version(ch, cb).composed.matrix
+                    t = classical_version(ch, cb).matrix
                     deviation = float(np.abs(t @ uniform - uniform).sum())
                     if deviation > 2.0 * theta + 1e-12:
                         continue

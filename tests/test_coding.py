@@ -23,7 +23,12 @@ from thermocap.coding import (
     _search_exact,
     _uniform_deviation,
 )
-from thermocap.core import SearchSpaceTooLargeError, ThermocapError, tensor_power_channel
+from thermocap.core import (
+    DimensionMismatchError,
+    SearchSpaceTooLargeError,
+    ThermocapError,
+    tensor_power_channel,
+)
 
 from conftest import random_channel
 
@@ -47,7 +52,7 @@ def enumeration_channels():
 
 def first_feasible_reference(ch, eps, theta=None):
     """M descending, combinations in lexicographic order: the first codebook
-    whose ClassicalVersion meets the success (and, with theta, the uniform
+    whose classical version meets the success (and, with theta, the uniform
     deviation) constraint."""
     for m in range(ch.dim_in, 0, -1):
         for combo in itertools.combinations(range(ch.dim_in), m):
@@ -125,6 +130,44 @@ class TestMlDecoder:
                     classical_version(ch, Codebook(inputs=inputs, decoder=decoder))
                 )
                 assert ps <= ml_ps + 1e-12
+
+
+class TestCodebookAgainstChannel:
+    # three inputs, two outputs: symbol -1 used to wrap round to symbol 2
+    # (success 0.95, the value of inputs (2, 0)), symbol 5 and a long
+    # decoder raised a bare IndexError, and a short decoder "channel columns
+    # must sum to 1"
+    CH = StochasticChannel([[0.9, 0.2, 0.0], [0.1, 0.8, 1.0]])
+
+    @pytest.mark.parametrize("inputs", [(-1, 0), (0, 5), (0, 3), (0, 1.0), (True, 0)])
+    def test_symbols_outside_the_input_alphabet_rejected(self, inputs):
+        with pytest.raises(DimensionMismatchError, match=r"integers in 0\.\.2"):
+            ml_decoder(self.CH, inputs)
+        with pytest.raises(DimensionMismatchError, match=r"integers in 0\.\.2"):
+            classical_version(self.CH, Codebook(inputs=inputs, decoder=(0, 1)))
+
+    @pytest.mark.parametrize("decoder", [(0,), (0, 1, 0)])
+    def test_decoder_length_must_match_the_outputs(self, decoder):
+        with pytest.raises(DimensionMismatchError, match=f"decoder has {len(decoder)} entries"):
+            classical_version(self.CH, Codebook(inputs=(0, 1), decoder=decoder))
+
+    def test_numpy_integer_symbols_accepted(self):
+        inputs = np.array([2, 0])
+        assert ml_decoder(self.CH, inputs) == ml_decoder(self.CH, (2, 0)) == (1, 0)
+        cv = classical_version(self.CH, Codebook(inputs=tuple(inputs), decoder=(1, 0)))
+        assert success_probability(cv) == 0.95
+
+    def test_one_channel_built(self, monkeypatch):
+        built = []
+
+        def counting(matrix):
+            built.append(matrix)
+            return StochasticChannel(matrix)
+
+        monkeypatch.setattr(coding, "StochasticChannel", counting)
+        cv = classical_version(self.CH, Codebook(inputs=(2, 0), decoder=(1, 0)))
+        assert len(built) == 1
+        assert isinstance(cv, StochasticChannel) and cv.matrix.shape == (2, 2)
 
 
 class TestOneShotCapacity:
@@ -311,7 +354,7 @@ class TestBatchedEnumerator:
             for b, combo in enumerate(combos.tolist()):
                 cv = classical_version(ch, _codebook(ch, combo))
                 assert abs(ps[b] - success_probability(cv)) <= 1e-12
-                assert np.abs(t[b] - cv.composed.matrix).max() <= 1e-12
+                assert np.array_equal(t[b], cv.matrix)
                 assert abs(deviation[b] - gibbs_deviation(cv)) <= 1e-12
 
 
