@@ -189,7 +189,7 @@ def constrained_holevo(
     if max_messages is not None:
         cap = _count(max_messages, "max_messages")
     n_random = _count(n_random, "n_random", low=0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}
 
@@ -257,6 +257,7 @@ def regularized_capacity_series(
     k_max = _count(k_max, "k_max")
     if k_max > 3:
         raise ThermocapError("k_max must lie in 1..3")
+    seed = _count(seed, "seed", low=0)
     target = shannon_capacity(ch).bits
     points = []
     labels = []

@@ -152,6 +152,8 @@ def capacity_entropic_bounds(
     input.
     """
     params.require_sandwich()
+    n_random = _count(n_random, "n_random", low=0)
+    seed = _count(seed, "seed", low=0)
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
 
@@ -209,6 +211,8 @@ def capacity_work_bounds(
     the witness-based transmitted-work upper bracket.
     """
     params.require_work_sandwich()
+    n_random = _count(n_random, "n_random", low=0)
+    seed = _count(seed, "seed", low=0)
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
 
@@ -264,38 +268,35 @@ def capacity_work_bounds(
 def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float) -> BoundReport:
     """Chain check for the equilibrium-constrained capacity (CLI: bounds prop2).
 
-    Verifies capacity <= constrained capacity <= correlation-work surrogate,
-    where the surrogate is the upper end of the doubled-error smoothed Renyi-0
-    bracket of the constrained witness (its own work bracket is attached).
+    Verifies constrained capacity (= capacity, one search) <= correlation-work
+    surrogate, the upper end of the doubled-error smoothed Renyi-0 bracket
+    of the constrained witness (its own work bracket is attached).
     """
-    limit = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
+    limit = ErrorParams.WORK_EPS_MAX / 2.0
     if not 0.0 < eps < limit:
         raise ThermocapError(f"need 0 < eps < {limit:.6f}")
     if not eps <= theta < 0.5:
         raise ThermocapError("need eps <= theta < 1/2")
 
-    cap = one_shot_capacity(ch, eps)
-    cap_equi = theta_equilibrium_capacity(ch, eps, theta)
-    deviation, d0 = _upper_witness(ch, cap_equi.codebook, 2.0 * eps)
+    cap = theta_equilibrium_capacity(ch, eps, theta)
+    deviation, d0 = _upper_witness(ch, cap.codebook, 2.0 * eps)
     surrogate = d0.bracket[1]
     surrogate_upper = surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))
 
     problems = []
-    if cap.bits > cap_equi.bits + _CHAIN_TOL:
-        problems.append("unconstrained capacity exceeds the constrained one")
-    if cap_equi.bits > surrogate + _CHAIN_TOL:
+    if cap.bits > surrogate + _CHAIN_TOL:
         problems.append("constrained capacity exceeds the work surrogate")
 
     return BoundReport(
         lower_estimate=cap.bits,
-        capacity=cap_equi.bits,
+        capacity=cap.bits,
         upper_witness_value=surrogate,
         error_terms={
             "surrogate_bracket_bits": [surrogate, surrogate_upper],
             "doubled_eps": 2.0 * eps,
         },
         witnesses={
-            "codebook_inputs": list(cap_equi.codebook.inputs),
+            "codebook_inputs": list(cap.codebook.inputs),
             "gibbs_deviation": deviation,
             "renyi0_witness": list(d0.witness.indices),
         },
@@ -350,6 +351,7 @@ def landauer_scenario(
     compares the extracted work against bits * ln2.
     """
     trials = _count(trials, "trials", low=2)
+    seed = _count(seed, "seed", low=0)
     cap = one_shot_capacity(ch, eps)
     m = cap.codebook.message_count
     if m < 2:

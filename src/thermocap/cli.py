@@ -322,6 +322,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if not (math.isfinite(args.temperature) and args.temperature > 0.0):
             raise _UsageError("--temperature must be finite and positive")
+        if args.seed < 0:
+            raise _UsageError("--seed must be an integer >= 0")
         params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, cls in _INPUTS.items():
             if name in params:

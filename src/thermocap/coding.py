@@ -43,23 +43,27 @@ class Codebook:
     decoder: tuple
 
     def __post_init__(self):
-        if len(self.inputs) == 0:
+        m = len(self.inputs)
+        if m == 0:
             raise ThermocapError("codebook needs at least one message")
-        if any(d < 0 or d >= len(self.inputs) for d in self.decoder):
-            raise ThermocapError("decoder must map onto message indices")
+        if not all(_is_index(d, m) for d in self.decoder):
+            raise ThermocapError(f"decoder must map onto message indices 0..{m - 1}")
 
     @property
     def message_count(self) -> int:
         return len(self.inputs)
 
 
+def _is_index(x, n: int) -> bool:
+    """Whether x is an integer in 0..n-1 (numpy integers too, bool not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < n
+
+
 def _symbols(inputs, dim_in: int) -> list:
-    """`inputs` as a list, when every entry is an integer in 0..dim_in-1
-    (numpy integers too, bool not); anything else raises
-    DimensionMismatchError."""
+    """`inputs` as a list, when every entry is an integer in 0..dim_in-1;
+    anything else raises DimensionMismatchError."""
     symbols = list(inputs)
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < dim_in
-               for x in symbols):
+    if not all(_is_index(x, dim_in) for x in symbols):
         raise DimensionMismatchError(f"input symbols must be integers in 0..{dim_in - 1}")
     return symbols
 
@@ -155,16 +159,12 @@ def _uniform_deviation(t: np.ndarray) -> np.ndarray:
     return np.abs(t @ uniform - uniform).sum(axis=-1)
 
 
-def _feasible(cols: np.ndarray, eps: float, theta: float | None) -> np.ndarray:
-    """Indices of the batch's codebooks with success at least 1 - eps and,
-    with theta given, uniform deviation at most 2*theta."""
-    ok = np.flatnonzero(_ml_success(cols) >= (1.0 - eps) - SUCCESS_TOL)
-    if theta is not None:
-        ok = ok[_uniform_deviation(_ml_composed(cols[ok])) <= 2.0 * theta + SUCCESS_TOL]
-    return ok
+def _feasible(cols: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of the batch's codebooks with success at least 1 - eps."""
+    return np.flatnonzero(_ml_success(cols) >= (1.0 - eps) - SUCCESS_TOL)
 
 
-def _search_exact(ch, eps, theta, m_cap):
+def _search_exact(ch, eps, m_cap):
     """First feasible codebook of the largest feasible message count, and the
     number of search nodes: one root per M, plus every child bounded or judged.
 
@@ -177,9 +177,9 @@ def _search_exact(ch, eps, theta, m_cap):
     less a rounding slack: the cover-all bound
     sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
     gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
-    (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`, the theta
-    condition at leaves only.  CODEBOOK_BUDGET counts every codebook of the
-    sizes searched, as `_codebook_batches` does.
+    (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`.
+    CODEBOOK_BUDGET counts every codebook of the sizes searched, as
+    `_codebook_batches` does.
     """
     _check_budget(ch.dim_in, range(m_cap, 0, -1))
     n = ch.dim_in
@@ -205,7 +205,7 @@ def _search_exact(ch, eps, theta, m_cap):
             if left == 1:
                 combos = np.empty((cand.size, m), dtype=np.intp)
                 combos[:, :-1], combos[:, -1] = prefix, cand
-                hits = _feasible(rows[combos], eps, theta)
+                hits = _feasible(rows[combos], eps)
                 if hits.size:
                     return _codebook_from_combo(ch, combos[hits[0]]), nodes
                 continue
@@ -221,26 +221,27 @@ def _search_exact(ch, eps, theta, m_cap):
     raise ThermocapError("single-message codebooks are always feasible; this is a bug")
 
 
-def _search_randomized(ch, eps, theta, m_cap, seed):
+def _search_randomized(ch, eps, m_cap, seed):
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(SAMPLE_BUDGET):
         m = int(rng.integers(1, m_cap + 1))
         combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
         if best is None or m > best.message_count:
-            if _feasible(ch.matrix.T[combo][None], eps, theta).size:
+            if _feasible(ch.matrix.T[combo][None], eps).size:
                 best = _codebook_from_combo(ch, combo)
     return best or _codebook_from_combo(ch, (0,))
 
 
-def _capacity(ch, eps, theta, max_messages, randomized, seed):
+def _capacity(ch, eps, max_messages, randomized, seed):
     m_cap = ch.dim_in
     if max_messages is not None:
         m_cap = min(_count(max_messages, "max_messages"), ch.dim_in)
+    seed = _count(seed, "seed", low=0)
     if randomized:
-        cb = _search_randomized(ch, eps, theta, m_cap, seed)
+        cb = _search_randomized(ch, eps, m_cap, seed)
     else:
-        cb, _ = _search_exact(ch, eps, theta, m_cap)
+        cb, _ = _search_exact(ch, eps, m_cap)
     return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=not randomized,
                           method="randomized" if randomized else "exhaustive")
 
@@ -264,7 +265,7 @@ def one_shot_capacity(
     """
     if not 0.0 <= eps <= 1.0:
         raise ThermocapError("eps must lie in [0, 1]")
-    return _capacity(ch, eps, None, max_messages, randomized, seed)
+    return _capacity(ch, eps, max_messages, randomized, seed)
 
 
 def theta_equilibrium_capacity(
@@ -276,7 +277,11 @@ def theta_equilibrium_capacity(
     seed: int = 0,
 ) -> CapacityResult:
     """One-shot capacity restricted to codebooks whose induced classical
-    version moves the uniform message state by at most 2*theta in L1."""
+    version moves the uniform message state by at most 2*theta in L1; that
+    never binds here, so it runs `one_shot_capacity`'s search.  An ML
+    codebook's T has unit column sums and success s >= 1 - eps, so ||Tu - u||_1
+    = (1/M) sum_i |sum_j (T_ij - delta_ij)| <= (1/M) sum_j 2 (1 - T_jj) = 2 (1 - s)
+    <= 2 eps <= 2 theta."""
     if not (0.0 < eps <= theta < 0.5):
         raise ThermocapError("need 0 < eps <= theta < 1/2")
-    return _capacity(ch, eps, theta, max_messages, randomized, seed)
+    return _capacity(ch, eps, max_messages, randomized, seed)

@@ -63,11 +63,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _count(value, name: str, low: int = 1) -> int:
-    """`value` as an int when it is an integer >= low (numpy integers too,
-    bool not); anything else raises ThermocapError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ThermocapError(f"{name} must be an integer >= {low}")
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """`value` as an int when it is an integer >= low, and <= high when high
+    is given (numpy integers too, bool not); anything else raises
+    ThermocapError naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ThermocapError(f"{name} must be an integer {bound}")
     return int(value)
 
 
@@ -111,14 +114,13 @@ class Distribution:
 
     @staticmethod
     def uniform(dim: int) -> "Distribution":
-        if dim < 1:
-            raise ThermocapError("dim must be >= 1")
+        dim = _count(dim, "dim")
         return Distribution(np.full(dim, 1.0 / dim))
 
     @staticmethod
     def point_mass(index: int, dim: int) -> "Distribution":
-        if not 0 <= index < dim:
-            raise ThermocapError("point mass index out of range")
+        dim = _count(dim, "dim")
+        index = _count(index, "point mass index", low=0, high=dim - 1)
         probs = np.zeros(dim)
         probs[index] = 1.0
         return Distribution(probs)
@@ -210,11 +212,13 @@ class StochasticChannel:
 
     @staticmethod
     def identity(dim: int) -> "StochasticChannel":
-        return StochasticChannel(np.eye(dim))
+        return StochasticChannel(np.eye(_count(dim, "dim")))
 
     @staticmethod
     def constant(dim_in: int, target: int = 0, dim_out: int | None = None) -> "StochasticChannel":
-        dim_out = dim_in if dim_out is None else dim_out
+        dim_in = _count(dim_in, "dim_in")
+        dim_out = dim_in if dim_out is None else _count(dim_out, "dim_out")
+        target = _count(target, "target", low=0, high=dim_out - 1)
         mat = np.zeros((dim_out, dim_in))
         mat[target, :] = 1.0
         return StochasticChannel(mat)
@@ -262,7 +266,7 @@ class Hamiltonian:
 
     @staticmethod
     def degenerate(dim: int, energy: float = 0.0) -> "Hamiltonian":
-        return Hamiltonian(np.full(dim, float(energy)))
+        return Hamiltonian(np.full(_count(dim, "dim"), float(energy)))
 
     def to_dict(self) -> dict:
         return {"levels": [float(x) for x in self.levels], "units": "kT"}
@@ -328,8 +332,7 @@ def _gibbs_probs(levels: np.ndarray) -> np.ndarray:
 
 def maximally_correlated(m: int) -> JointDistribution:
     """Uniform perfectly correlated bipartite table on m x m outcomes."""
-    if m < 1:
-        raise ThermocapError("m must be >= 1")
+    m = _count(m, "m")
     return JointDistribution(np.eye(m) / m)
 
 

@@ -19,6 +19,7 @@ from .core import (
     LN2,
     Distribution,
     DimensionMismatchError,
+    ErrorParams,
     Hamiltonian,
     JointDistribution,
     ThermocapError,
@@ -381,7 +382,7 @@ def extraction_protocol(
     linearly; "energy" interpolates the levels linearly.  Returns the
     process and the entropy result it is built from.
     """
-    if not 0.0 < eps <= 1.0 - 1.0 / math.sqrt(2.0):
+    if not 0.0 < eps <= ErrorParams.WORK_EPS_MAX:
         raise ThermocapError("need 0 < eps <= 1 - 1/sqrt(2)")
     if not 0.0 < e_cut < math.inf:
         raise ThermocapError("e_cut must be finite and positive")

@@ -9,11 +9,16 @@ from thermocap import (
     StochasticChannel,
     capacity_entropic_bounds,
     capacity_work_bounds,
+    constrained_holevo,
     equilibrium_capacity_bounds,
     error_terms,
     landauer_scenario,
+    one_shot_capacity,
+    regularized_capacity_series,
     tensor_power_channel,
+    theta_equilibrium_capacity,
 )
+from thermocap import coding
 from thermocap.bounds import _best_codebooks_per_size
 from thermocap.core import LN2, NoFeasibleCodebookError, ThermocapError
 
@@ -135,6 +140,20 @@ class TestEquilibriumChain:
         with pytest.raises(ThermocapError):
             equilibrium_capacity_bounds(StochasticChannel.identity(2), 0.2, 0.25)
 
+    def test_one_capacity_search_per_call(self, monkeypatch):
+        calls = []
+        search = coding._search_exact
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(coding, "_search_exact", counting)
+        ch = random_channel(np.random.default_rng(8), 5, 5)
+        report = equilibrium_capacity_bounds(ch, 0.1, 0.2)
+        assert len(calls) == 1
+        assert report.lower_estimate == report.capacity == one_shot_capacity(ch, 0.1).bits
+
 
 class TestLandauerScenario:
     def test_identity4_round_trip(self):
@@ -172,6 +191,63 @@ class TestLandauerScenario:
         got = landauer_scenario(ch, 0.05, np.int64(2000), seed=7).to_dict()
         assert got == landauer_scenario(ch, 0.05, 2000, seed=7).to_dict()
         assert type(got["trials"]) is int
+
+
+THM2 = ErrorParams(eps=0.15, omega=0.075, delta=0.05)
+THM4 = ErrorParams(eps=0.2, omega=0.1, delta=0.05)
+
+#: every public function that takes a seed, called on a small input
+SEEDED = {
+    "one_shot_capacity": lambda seed: one_shot_capacity(
+        StochasticChannel.identity(3), 0.1, randomized=True, seed=seed),
+    "theta_equilibrium_capacity": lambda seed: theta_equilibrium_capacity(
+        StochasticChannel.identity(3), 0.1, 0.2, randomized=True, seed=seed),
+    "capacity_entropic_bounds": lambda seed: capacity_entropic_bounds(
+        StochasticChannel.identity(2), THM2, n_random=4, seed=seed).to_dict(),
+    "capacity_work_bounds": lambda seed: capacity_work_bounds(
+        StochasticChannel.identity(2), THM4, n_random=4, seed=seed).to_dict(),
+    "landauer_scenario": lambda seed: landauer_scenario(
+        StochasticChannel.identity(2), 0.05, 200, seed=seed).to_dict(),
+    "constrained_holevo": lambda seed: constrained_holevo(
+        StochasticChannel.identity(2), 0.25, n_random=4, seed=seed),
+    "regularized_capacity_series": lambda seed: regularized_capacity_series(
+        StochasticChannel.binary_symmetric(0.1), 0.1, k_max=1, theta=0.25, seed=seed),
+}
+
+
+class TestSeedValidation:
+    # a seed of -1 raised numpy's bare ValueError, 2.5 a TypeError
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_bad_seed_rejected(self, name, seed):
+        with pytest.raises(ThermocapError, match="seed must be an integer >= 0"):
+            SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_numpy_integer_seed_accepted(self, name):
+        assert SEEDED[name](np.int64(7)) == SEEDED[name](7)
+
+    def test_landauer_echoes_a_python_int(self):
+        assert type(SEEDED["landauer_scenario"](np.int64(7))["seed"]) is int
+
+
+class TestNRandomValidation:
+    # 2.5 raised a bare TypeError in the entropic checker; there -3 drew
+    # nothing and True one input, and the work checker ran 2.5 and -3 as one
+    # draw per codebook
+    @pytest.mark.parametrize("n_random", [2.5, -3, True])
+    @pytest.mark.parametrize("checker, params", [(capacity_entropic_bounds, THM2),
+                                                 (capacity_work_bounds, THM4)])
+    def test_bad_n_random_rejected(self, checker, params, n_random):
+        with pytest.raises(ThermocapError, match="n_random must be an integer >= 0"):
+            checker(StochasticChannel.identity(2), params, n_random=n_random)
+
+    @pytest.mark.parametrize("checker, params", [(capacity_entropic_bounds, THM2),
+                                                 (capacity_work_bounds, THM4)])
+    def test_numpy_integer_n_random_accepted(self, checker, params):
+        ch = StochasticChannel.identity(2)
+        got = checker(ch, params, n_random=np.int64(3)).to_dict()
+        assert got == checker(ch, params, n_random=3).to_dict()
 
 
 class TestSearchFamily:

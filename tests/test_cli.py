@@ -427,6 +427,24 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["landauer", "--channel", "identity4", "--eps", "0.01", "--trials", "1000"],
+        ["bounds", "thm2", "--channel", "bsc01", "--eps", "0.15", "--omega", "0.075",
+         "--delta", "0.05"],
+        ["bounds", "thm4", "--channel", "bsc01", "--eps", "0.2", "--omega", "0.1",
+         "--delta", "0.05"],
+        ["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25"],
+        ["capacity", "--channel", "bsc01", "--eps", "0.1", "--randomized"],
+        ["entropy", "rel", "--p", "state2", "--q", "u2"],
+    ])
+    def test_negative_seed_is_one_error_line(self, capsys, files, argv):
+        # the seeded commands used to exit 1 with a numpy traceback, and the
+        # others echoed the seed; every subcommand now answers alike
+        code, out, err = _run(capsys, ["--seed", "-1"] + _with_files(argv, files))
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be an integer >= 0\n"
+
     def test_bad_usage(self, capsys, files):
         code, _, err = _run(capsys, ["entropy", "d0", "--p", files["pointmass4"],
                                      "--q", files["uniform4"]])  # missing --eps

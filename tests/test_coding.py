@@ -16,6 +16,7 @@ from thermocap import (
 )
 from thermocap import coding
 from thermocap.coding import (
+    SUCCESS_TOL,
     _codebook_batches,
     _feasible,
     _ml_composed,
@@ -64,9 +65,13 @@ def first_feasible_reference(ch, eps, theta=None):
 
 
 def first_feasible_enumerated(ch, eps, theta=None):
-    """The same order walked with the batched enumerator and `_feasible`."""
+    """The same order walked with the batched enumerator and `_feasible`,
+    with theta given also filtered by the uniform deviation of each
+    codebook's classical version."""
     for combos, cols in _codebook_batches(ch, range(ch.dim_in, 0, -1)):
-        hits = _feasible(cols, eps, theta)
+        hits = _feasible(cols, eps)
+        if theta is not None:
+            hits = hits[_uniform_deviation(_ml_composed(cols[hits])) <= 2.0 * theta + SUCCESS_TOL]
         if hits.size:
             return tuple(combos[hits[0]].tolist())
     return None
@@ -84,6 +89,32 @@ def tie_heavy_cases():
         (StochasticChannel.constant(5), 0.1),
         (StochasticChannel.constant(5), 0.6),
     ]
+
+
+def theta_cases():
+    """(channel, eps) pairs with 0 < eps < 1/2: seeded random channels, and
+    channels with entries in sixteenths where a 2- or 4-message codebook has
+    success exactly 1 - eps.  On the Z channels, whose one leaky input leaks
+    k/16 to another input's output, the deviation is exactly 2 * eps too."""
+    rng = np.random.default_rng(31)
+    cases = [(random_channel(rng, d_in, d_out), float(rng.uniform(0.05, 0.45)))
+             for d_in, d_out in [(3, 3), (4, 4), (5, 3), (4, 6), (6, 6), (7, 4)]]
+    for d, k in [(2, 1), (2, 5), (2, 15), (4, 3), (4, 16)]:
+        mat = np.eye(d)
+        mat[0, -1], mat[-1, -1] = k / 16, 1.0 - k / 16
+        cases.append((StochasticChannel(mat), k / (16 * d)))
+    while len(cases) < 24:
+        d_in, d_out = (int(x) for x in rng.integers(2, 7, size=2))
+        mat = np.array([rng.multinomial(16, np.ones(d_out) / d_out) for _ in range(d_in)]).T / 16
+        ch = StochasticChannel(mat)
+        m = int(rng.choice([2, 4]))
+        if m > d_in:
+            continue
+        inputs = tuple(sorted(rng.choice(d_in, size=m, replace=False).tolist()))
+        eps = 1.0 - float(_ml_success(ch.matrix.T[np.array([inputs])])[0])
+        if 0.0 < eps < 0.5:
+            cases.append((ch, eps))
+    return cases
 
 
 class TestSuccessProbability:
@@ -130,6 +161,21 @@ class TestMlDecoder:
                     classical_version(ch, Codebook(inputs=inputs, decoder=decoder))
                 )
                 assert ps <= ml_ps + 1e-12
+
+
+class TestCodebookDecoder:
+    @pytest.mark.parametrize("decoder", [(0.5, 1), (True, 0), (0, 2), (-1, 0), (0, "1")])
+    def test_entries_must_be_message_indices(self, decoder):
+        # (0.5, 1) used to pass and then fail in classical_version with a
+        # bare IndexError; (True, 0) ran as message 1
+        with pytest.raises(ThermocapError, match=r"message indices 0\.\.1"):
+            Codebook(inputs=(0, 1), decoder=decoder)
+
+    def test_numpy_integer_entries_accepted(self):
+        ch = StochasticChannel([[0.9, 0.2, 0.0], [0.1, 0.8, 1.0]])
+        cb = Codebook(inputs=(0, 1), decoder=tuple(np.array([0, 1])))
+        want = classical_version(ch, Codebook(inputs=(0, 1), decoder=(0, 1)))
+        assert np.array_equal(classical_version(ch, cb).matrix, want.matrix)
 
 
 class TestCodebookAgainstChannel:
@@ -320,6 +366,25 @@ class TestThetaEquilibrium:
         with pytest.raises(ThermocapError):
             theta_equilibrium_capacity(ch, 0.3, 0.2)
 
+    @pytest.mark.parametrize("ch, eps", theta_cases())
+    def test_same_result_as_one_shot_capacity(self, ch, eps):
+        # for 0 < eps <= theta < 1/2 the theta condition never binds: an ML
+        # codebook's deviation is at most 2 (1 - success) <= 2 eps, and the
+        # theta-aware enumeration agrees with the unconstrained search
+        plain = one_shot_capacity(ch, eps)
+        for theta in (eps, (eps + 0.49) / 2.0, 0.49):
+            assert theta_equilibrium_capacity(ch, eps, theta) == plain
+            assert first_feasible_enumerated(ch, eps, theta) == plain.codebook.inputs
+
+    def test_z_channels_sit_on_the_boundary(self):
+        # success exactly 1 - eps and deviation exactly 2 * eps: the bound is
+        # attained, and theta = eps admits the codebook with no slack
+        hits = 0
+        for ch, eps in theta_cases():
+            cv = classical_version(ch, one_shot_capacity(ch, eps).codebook)
+            hits += success_probability(cv) == 1.0 - eps and gibbs_deviation(cv) == 2.0 * eps
+        assert hits >= 5
+
     @pytest.mark.parametrize("ch", enumeration_channels())
     def test_first_feasible_codebook_in_search_order(self, ch):
         # the first codebook that meets both constraints wins
@@ -368,14 +433,17 @@ class TestBranchAndBound:
             dim_in = int(rng.integers(10, 15))
             ch = StochasticChannel(rng.dirichlet(np.full(dim_in, 0.2), size=dim_in).T)
             eps = float(rng.choice([0.05, 0.1, 0.2]))
-            cb, _ = _search_exact(ch, eps, theta, dim_in)
+            if theta is None:
+                cb, _ = _search_exact(ch, eps, dim_in)
+            else:
+                cb = theta_equilibrium_capacity(ch, eps, theta).codebook
             assert cb.inputs == first_feasible_enumerated(ch, eps, theta)
             assert cb.decoder == ml_decoder(ch, cb.inputs)
 
     def test_node_ceiling_dirichlet_d16(self):
         rng = np.random.default_rng(1)
         ch = StochasticChannel(rng.dirichlet(np.full(16, 0.2), size=16).T)
-        cb, nodes = _search_exact(ch, 0.1, None, 16)
+        cb, nodes = _search_exact(ch, 0.1, 16)
         assert cb.inputs == (0, 2, 3, 4)
         # 474 nodes when this ceiling was set; a full walk in the same order
         # scores 63,111 codebooks up to this one
@@ -383,7 +451,7 @@ class TestBranchAndBound:
 
     def test_node_ceiling_bsc4(self):
         ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
-        cb, nodes = _search_exact(ch, 0.1, None, 16)
+        cb, nodes = _search_exact(ch, 0.1, 16)
         assert cb.inputs == tuple(range(7))
         # 12,610 nodes when this ceiling was set
         assert nodes <= 16_000
@@ -391,7 +459,7 @@ class TestBranchAndBound:
     def test_unreachable_sizes_cost_one_node_each(self):
         # a constant channel has success at most 1/M, so the cover-all bound
         # at the root refutes every M >= 2
-        cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, None, 12)
+        cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, 12)
         assert cb.inputs == (0,)
         assert nodes == 11 + 1 + 12
 

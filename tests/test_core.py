@@ -68,6 +68,41 @@ class TestConstruction:
             Hamiltonian.from_dict({"levels": [0.0], "units": "eV"})
 
 
+class TestConstructorArguments:
+    # 2.5 raised a bare numpy TypeError, 1.5 as an index a bare IndexError,
+    # point_mass(True, 3) "must sum to 1 (got 3.0)", and constant(3, -1)
+    # put all mass on the last output
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, "2"])
+    def test_bad_dimension_rejected(self, dim):
+        for make in (Distribution.uniform, Hamiltonian.degenerate, StochasticChannel.identity,
+                     maximally_correlated, StochasticChannel.constant,
+                     lambda d: StochasticChannel.constant(2, 0, d),
+                     lambda d: Distribution.point_mass(0, d)):
+            with pytest.raises(ThermocapError, match=r"(dim|dim_in|dim_out|m) must be an integer >= 1"):
+                make(dim)
+
+    @pytest.mark.parametrize("index", [-1, 3, 1.5, 1.0, True, "1"])
+    def test_bad_index_rejected(self, index):
+        with pytest.raises(ThermocapError, match=r"point mass index must be an integer in 0\.\.2"):
+            Distribution.point_mass(index, 3)
+        with pytest.raises(ThermocapError, match=r"target must be an integer in 0\.\.2"):
+            StochasticChannel.constant(3, index)
+
+    def test_target_ranges_over_the_outputs(self):
+        assert StochasticChannel.constant(2, 3, dim_out=4).matrix[3].tolist() == [1.0, 1.0]
+        with pytest.raises(ThermocapError, match=r"target must be an integer in 0\.\.1"):
+            StochasticChannel.constant(4, 2, dim_out=2)
+
+    def test_numpy_integers_accepted(self):
+        two, one = np.int64(2), np.int32(1)
+        assert Distribution.uniform(two).probs.tolist() == [0.5, 0.5]
+        assert Distribution.point_mass(one, two).probs.tolist() == [0.0, 1.0]
+        assert Hamiltonian.degenerate(two).levels.tolist() == [0.0, 0.0]
+        assert StochasticChannel.identity(two).matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert StochasticChannel.constant(two, one).matrix.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert maximally_correlated(two).probs.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
 class TestTraceDistance:
     def test_identical(self):
         p = Distribution([0.3, 0.7])
