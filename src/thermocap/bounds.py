@@ -208,7 +208,10 @@ def capacity_work_bounds(
 
     All three quantities are in k_B*T: searched correlation-work lower
     estimates minus the one-shot work penalty, ln2 times the capacity, and
-    the witness-based transmitted-work upper bracket.
+    the witness-based transmitted-work upper bracket.  The search scores the
+    best codebook of each of the dim_in sizes on the maximally correlated
+    input and on n_random // dim_in seeded Dirichlet inputs, so it draws at
+    most n_random inputs in all, and none when n_random < dim_in.
     """
     params.require_work_sandwich()
     n_random = _count(n_random, "n_random", low=0)
@@ -226,7 +229,7 @@ def capacity_work_bounds(
         t = classical_version(ch, cb).matrix
         m = cb.message_count
         inputs = [np.eye(m) / m]
-        for _ in range(max(1, n_random // max(1, ch.dim_in))):
+        for _ in range(n_random // ch.dim_in):
             raw = rng.dirichlet(np.ones(m * m)).reshape(m, m)
             inputs.append(raw)
         for eta in inputs:

@@ -164,17 +164,52 @@ def _feasible(cols: np.ndarray, eps: float) -> np.ndarray:
     return np.flatnonzero(_ml_success(cols) >= (1.0 - eps) - SUCCESS_TOL)
 
 
+def _gain_chunks(rows: np.ndarray, levels: np.ndarray):
+    """(part, g) for consecutive slices `part` of `levels`, where
+    g[i, x] = sum_y (rows[x, y] - levels[part][i, y])^+.  Each slice's
+    temporary holds at most 2^16 entries, or one copy of `rows` when that
+    is larger; a row of g does not depend on the slicing."""
+    step = max(1, (1 << 16) // rows.size)
+    for i in range(0, len(levels), step):
+        diff = rows - levels[i:i + step, None, :]
+        yield slice(i, i + step), np.maximum(diff, 0.0, out=diff).sum(axis=2)
+
+
+def _converse(ch: StochasticChannel, m_cap: int) -> np.ndarray:
+    """bound[m] >= sum_y max_{x in C} W(y|x) = m * success(C) for every
+    codebook C of m distinct symbols, m = 1..m_cap (inf where not computed:
+    m = 0, and every m when m_cap < 2).
+
+    For any v >= 0 on the outputs, max_{x in C} W(y|x) <= v_y +
+    sum_{x in C} (W(y|x) - v_y)^+, so m * success(C) <= sum_y v_y plus the m
+    largest g_x = sum_y (W(y|x) - v_y)^+: the dual of the non-signalling LP
+    (Matthews 2012), with the m largest g_x in place of m max_x g_x.  The
+    bound is the least over v = the j-th largest entry of each output row,
+    j = 1..dim_in; j = 1 gives the cover-all bound sum_y max_x W(y|x).
+    """
+    bound = np.full(m_cap + 1, np.inf)
+    if m_cap < 2:
+        return bound
+    rows = ch.matrix.T
+    levels = np.sort(ch.matrix, axis=1)[:, ::-1].T  # levels[j - 1][y]: j-th largest W(y|.)
+    for part, g in _gain_chunks(rows, levels):
+        top = np.cumsum(np.sort(g, axis=1)[:, ::-1][:, :m_cap], axis=1)  # top[:, m - 1]
+        bound[1:] = np.minimum(bound[1:], (levels[part].sum(axis=1)[:, None] + top).min(axis=0))
+    return bound
+
+
 def _search_exact(ch, eps, m_cap):
     """First feasible codebook of the largest feasible message count, and the
     number of search nodes: one root per M, plus every child bounded or judged.
 
     Depth-first branch-and-bound with M descending and combinations in
     lexicographic order within each M, so the first feasible leaf is the
-    first feasible codebook of a full enumeration in that order.  With cur
-    the row maxima of a prefix, M * success = sum_y max_{x in C} W(y|x) is
-    monotone submodular (Nemhauser, Wolsey & Fisher 1978), and a prefix
-    ending in symbol a is pruned when neither bound reaches M (1 - eps),
-    less a rounding slack: the cover-all bound
+    first feasible codebook of a full enumeration in that order.  An M whose
+    `_converse` bound is below M (1 - eps), less a rounding slack, costs its
+    root alone.  With cur the row maxima of a prefix, M * success =
+    sum_y max_{x in C} W(y|x) is monotone submodular (Nemhauser, Wolsey &
+    Fisher 1978), and a prefix ending in symbol a is pruned when neither
+    bound reaches the same level: the cover-all bound
     sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
     gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
     (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`.
@@ -182,20 +217,21 @@ def _search_exact(ch, eps, m_cap):
     `_codebook_batches` does.
     """
     _check_budget(ch.dim_in, range(m_cap, 0, -1))
+    converse = _converse(ch, m_cap)
     n = ch.dim_in
     rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
     suffix = np.maximum.accumulate(rows[::-1])[::-1]  # suffix[j][y] = max_{x >= j} W(y|x)
     target = (1.0 - eps) - SUCCESS_TOL
     nodes = 0
     for m in range(m_cap, 0, -1):
-        # prune only past the rounding of the bound and leaf sums: a few ulps
-        # per summed output and chosen symbol, relative to the m * target the
-        # leaf sums are compared with
+        # prune or refute only past the rounding of the bounds (the converse's
+        # included) and leaf sums: a few ulps per summed output and chosen
+        # symbol, relative to the m * target the leaf sums are compared with
         need = m * target
         floor = need - 1e-12 * abs(need) - 4.0 * np.finfo(float).eps * (ch.dim_out + m + 4) * m
         nodes += 1
-        if suffix[0].sum() < floor:
-            continue  # the cover-all bound at the root: no m-codebook can reach it
+        if converse[m] < floor:
+            continue  # no m-codebook can reach it
         stack = [((), np.zeros(ch.dim_out))]
         while stack:
             prefix, cur = stack.pop()
@@ -210,9 +246,10 @@ def _search_exact(ch, eps, m_cap):
                     return _codebook_from_combo(ch, combos[hits[0]]), nodes
                 continue
             child = np.maximum(cur, rows[cand])
-            gains = np.maximum(rows - child[:, None, :], 0.0).sum(axis=2)
-            gains[cand[:, None] >= np.arange(n)] = 0.0  # only symbols after a
-            top = np.sort(gains, axis=1)[:, n - left + 1:].sum(axis=1)
+            top = np.empty(cand.size)
+            for part, gains in _gain_chunks(rows, child):
+                gains[cand[part, None] >= np.arange(n)] = 0.0  # only symbols after a
+                top[part] = np.sort(gains, axis=1)[:, n - left + 1:].sum(axis=1)
             # child already holds a's column, so suffix[a] serves as the max over x > a
             bound = np.minimum(np.maximum(child, suffix[cand]).sum(axis=1),
                                child.sum(axis=1) + top)

@@ -18,7 +18,7 @@ from thermocap import (
     tensor_power_channel,
     theta_equilibrium_capacity,
 )
-from thermocap import coding
+from thermocap import bounds, coding
 from thermocap.bounds import _best_codebooks_per_size
 from thermocap.core import LN2, NoFeasibleCodebookError, ThermocapError
 
@@ -248,6 +248,25 @@ class TestNRandomValidation:
         ch = StochasticChannel.identity(2)
         got = checker(ch, params, n_random=np.int64(3)).to_dict()
         assert got == checker(ch, params, n_random=3).to_dict()
+
+    @pytest.mark.parametrize("n_random", [0, 3, 4, 9])
+    def test_work_checker_draws_at_most_n_random_inputs(self, monkeypatch, n_random):
+        # n_random // dim_in Dirichlet draws per codebook, one codebook per
+        # size: 0 and 3 draw none on four inputs, where every n_random below
+        # dim_in used to draw one per codebook
+        joints = []
+        output_joint = bounds._output_joint
+
+        def recording(t, eta):
+            joints.append(eta)
+            return output_joint(t, eta)
+
+        monkeypatch.setattr(bounds, "_output_joint", recording)
+        capacity_work_bounds(StochasticChannel.identity(4), THM4, n_random=n_random)
+        # beside the draws: the uniform input of each of the four codebooks
+        # and of the upper witness
+        drawn = len(joints) - 4 - 1
+        assert drawn == 4 * (n_random // 4) <= n_random
 
 
 class TestSearchFamily:

@@ -333,7 +333,8 @@ class TestAsymptoticsCommands:
 
     def test_runtime_loads_no_scipy(self, files):
         # numpy is the only runtime dependency: a fresh process answering
-        # stein, D_H and work questions through the CLI never imports scipy,
+        # stein, D_H, work and capacity questions through the CLI never
+        # imports scipy (the capacity search's converse needs no LP solver),
         # nor numpy.ma (which np.unique pulls in on first use)
         u2 = _write(files["tmp"], "u2.json", {"probs": [0.5, 0.5]})
         argvs = [
@@ -343,6 +344,9 @@ class TestAsymptoticsCommands:
             ["workext", "--state", files["state2"], "--hamiltonian", files["ham2"],
              "--eps", "0.15"],
             ["wcorr", "--joint", files["phi2"], "--eps", "0.05"],
+            ["capacity", "--channel", files["bsc01"], "--eps", "0.1"],
+            ["capacity", "--channel", files["bsc01"], "--eps", "0.15", "--theta", "0.25"],
+            ["bounds", "prop2", "--channel", files["bsc01"], "--eps", "0.1", "--theta", "0.1"],
         ]
         script = (
             "import json, sys\n"

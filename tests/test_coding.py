@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from thermocap import (
     Codebook,
@@ -18,6 +20,7 @@ from thermocap import coding
 from thermocap.coding import (
     SUCCESS_TOL,
     _codebook_batches,
+    _converse,
     _feasible,
     _ml_composed,
     _ml_success,
@@ -445,23 +448,115 @@ class TestBranchAndBound:
         ch = StochasticChannel(rng.dirichlet(np.full(16, 0.2), size=16).T)
         cb, nodes = _search_exact(ch, 0.1, 16)
         assert cb.inputs == (0, 2, 3, 4)
-        # 474 nodes when this ceiling was set; a full walk in the same order
-        # scores 63,111 codebooks up to this one
-        assert nodes <= 600
+        # 304 nodes since the converse refutes sizes up front (474 before);
+        # a full walk in the same order scores 63,111 codebooks up to this one
+        assert nodes <= 400
 
     def test_node_ceiling_bsc4(self):
         ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
         cb, nodes = _search_exact(ch, 0.1, 16)
         assert cb.inputs == tuple(range(7))
-        # 12,610 nodes when this ceiling was set
-        assert nodes <= 16_000
+        # 80 nodes since the converse refutes M = 8..16 up front (12,610 before)
+        assert nodes <= 100
 
     def test_unreachable_sizes_cost_one_node_each(self):
         # a constant channel has success at most 1/M, so the cover-all bound
-        # at the root refutes every M >= 2
+        # (the converse at v = the row maxima) refutes every M >= 2
         cb, nodes = _search_exact(StochasticChannel.constant(12), 0.1, 12)
         assert cb.inputs == (0,)
         assert nodes == 11 + 1 + 12
+
+    def test_size_the_converse_refutes_costs_one_node(self):
+        # on BSC(0.035)^4 at eps 0.1 the cover-all bound sum_y max_x W(y|x)
+        # = 16 * 0.965^4 = 13.87 reaches M (1 - eps) for M <= 15, but the
+        # converse refutes M = 8..15: each costs its root alone
+        ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
+        cover_all = ch.matrix.max(axis=1).sum()
+        assert all(cover_all >= 0.9 * m for m in range(8, 16))
+        assert all(_converse(ch, 16)[8:] < 0.9 * np.arange(8, 17))
+        cb, nodes = _search_exact(ch, 0.1, 16)
+        cb7, nodes7 = _search_exact(ch, 0.1, 7)
+        assert cb == cb7
+        assert nodes == nodes7 + 9
+
+    @pytest.mark.parametrize("n, eps", [(1, 0.1), (2, 0.1), (2, 0.2), (3, 0.1), (3, 0.2),
+                                        (4, 0.1), (4, 0.2)])
+    def test_matches_enumeration_near_bsc_flips(self, n, eps):
+        # bisect the flip probability where the searched M changes, to within
+        # 1e-10, and compare with the enumeration on both sides: agreement
+        # there means the enumeration's M changes in between too
+        def search(f):
+            ch = tensor_power_channel(StochasticChannel.binary_symmetric(f), n)
+            return ch, _search_exact(ch, eps, ch.dim_in)[0]
+
+        grid = np.linspace(0.005, 0.3, 10)
+        sizes = [search(f)[1].message_count for f in grid]
+        edges = 0
+        for lo, hi, s_lo, s_hi in zip(grid, grid[1:], sizes, sizes[1:]):
+            if s_lo == s_hi:
+                continue
+            while hi - lo > 1e-10:
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if search(mid)[1].message_count == s_lo else (lo, mid)
+            for f in (lo, hi):
+                ch, cb = search(f)
+                assert cb.inputs == first_feasible_enumerated(ch, eps)
+                assert cb.decoder == ml_decoder(ch, cb.inputs)
+            edges += 1
+        assert edges >= 1
+
+    def test_matches_enumeration_on_the_dyadic_boundary(self):
+        # entries in sixteenths and eps = 1 - the success of some codebook of
+        # M >= 2 symbols: the best M-codebook meets 1 - eps exactly (or
+        # within SUCCESS_TOL), where the converse can equal M (1 - eps) and
+        # only the rounding slack keeps it from refuting M
+        rng = np.random.default_rng(77)
+        on_boundary = 0
+        for _ in range(120):
+            d_in, d_out = (int(x) for x in rng.integers(2, 8, size=2))
+            mat = np.array([rng.multinomial(16, np.ones(d_out) / d_out)
+                            for _ in range(d_in)]).T / 16
+            ch = StochasticChannel(mat)
+            m = int(rng.integers(2, d_in + 1))
+            combo = np.sort(rng.choice(d_in, size=m, replace=False))
+            success = float(_ml_success(ch.matrix.T[combo][None])[0])
+            for eps in (1.0 - success, 1.0 - success - SUCCESS_TOL):
+                eps = max(eps, 0.0)
+                cb, _ = _search_exact(ch, eps, d_in)
+                assert cb.inputs == first_feasible_enumerated(ch, eps)
+                assert cb.decoder == ml_decoder(ch, cb.inputs)
+                best = _ml_success(ch.matrix.T[np.array([cb.inputs])])[0]
+                on_boundary += cb.message_count == m and best == success
+        assert on_boundary >= 40
+
+    def test_matches_enumeration_when_the_target_is_a_codebook_success(self):
+        # eps nudged so that the leaf target (1 - eps) - SUCCESS_TOL is some
+        # codebook's computed success: that codebook passes with no slack,
+        # and the converse, summed in another order, may sit an ulp below
+        # M times it; the rounding slack keeps such an M from being refuted
+        rng = np.random.default_rng(5)
+        chans = [tensor_power_channel(StochasticChannel.binary_symmetric(f), n)
+                 for n in (1, 2, 3) for f in rng.uniform(0.01, 0.2, 12)]
+        chans += [StochasticChannel(rng.dirichlet(np.full(d_out, alpha), size=d_in).T)
+                  for alpha in (0.2, 1.0) for d_in, d_out in [(4, 4), (6, 5), (8, 3)]
+                  for _ in range(6)]
+        hit = 0
+        for ch in chans:
+            for m in range(2, ch.dim_in + 1):
+                combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
+                success = float(_ml_success(ch.matrix.T[combo][None])[0])
+                eps = 1.0 - success - SUCCESS_TOL
+                for _ in range(64):
+                    target = (1.0 - eps) - SUCCESS_TOL
+                    if target == success:
+                        break
+                    eps = float(np.nextafter(eps, 1.0 if target > success else 0.0))
+                else:
+                    continue
+                cb, _ = _search_exact(ch, eps, ch.dim_in)
+                assert cb.inputs == first_feasible_enumerated(ch, eps)
+                hit += 1
+        assert hit >= 150
 
     def test_budget_counts_every_size(self, monkeypatch):
         # the search raises on exactly the enumeration's budget: 2^12 - 1
@@ -472,3 +567,112 @@ class TestBranchAndBound:
             one_shot_capacity(ch, 0.1)
         monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 4095)
         assert one_shot_capacity(ch, 0.1).bits == math.log2(12)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSearchMemory:
+    def test_single_message_search_builds_no_converse(self):
+        # max_messages=1 visits no size the converse serves: the leaf batch
+        # (the 2000 x 1 x 2000 likelihoods and their row maxima) sets the peak,
+        # where one converse table over every order statistic would take 64 GB
+        ch = StochasticChannel.identity(2000)
+        peak = _peak_bytes(lambda: one_shot_capacity(ch, 0.1, max_messages=1))
+        assert peak < 3.5 * ch.matrix.nbytes
+
+    def test_interior_nodes_and_converse_stay_within_a_few_matrices(self):
+        # the root's 299 children once took one 299 x 300 x 300 gains table
+        # (432 MB for a 0.7 MB matrix); both the gains and the converse are
+        # now built in slices of one matrix each
+        ch = StochasticChannel.identity(300)
+        peak = _peak_bytes(lambda: one_shot_capacity(ch, 0.1, max_messages=2))
+        assert peak < 8 * ch.matrix.nbytes
+
+    def test_gain_slices_keep_their_bits(self, monkeypatch):
+        # one child or order statistic per slice gives the same search
+        rng = np.random.default_rng(3)
+        chans = [StochasticChannel(rng.dirichlet(np.full(d, 0.3), size=d).T) for d in (9, 12, 14)]
+        chans.append(tensor_power_channel(StochasticChannel.binary_symmetric(0.05), 3))
+        want = [(_search_exact(ch, 0.1, ch.dim_in), _converse(ch, ch.dim_in)) for ch in chans]
+        chunked = coding._gain_chunks
+
+        def one_per_slice(rows, levels):
+            for i in range(len(levels)):
+                (_, g), = chunked(rows, levels[i:i + 1])
+                yield slice(i, i + 1), g
+
+        monkeypatch.setattr(coding, "_gain_chunks", one_per_slice)
+        for ch, (search, bound) in zip(chans, want):
+            assert _search_exact(ch, 0.1, ch.dim_in) == search
+            assert np.array_equal(_converse(ch, ch.dim_in), bound)
+
+
+def _best_success_per_size(ch):
+    """best[m]: the largest ML success over codebooks of m distinct symbols."""
+    best = np.zeros(ch.dim_in + 1)
+    for combos, cols in _codebook_batches(ch, range(1, ch.dim_in + 1)):
+        m = combos.shape[1]
+        best[m] = max(best[m], _ml_success(cols).max())
+    return best
+
+
+def _ns_success(ch, m):
+    """The best success of an m-message non-signalling code (Matthews 2012):
+    max sum_{x,y} W(y|x) r_xy over p, r >= 0 with sum_x p_x = 1,
+    r_xy <= p_x and sum_x r_xy <= 1/m, solved by scipy's HiGHS."""
+    n, d = ch.dim_in, ch.dim_out
+    # variables: p (n), then r[x, y] row-major (n * d)
+    cost = np.concatenate([np.zeros(n), -ch.matrix.T.ravel()])
+    r_below_p = np.hstack([-np.repeat(np.eye(n), d, axis=0), np.eye(n * d)])
+    per_output = np.hstack([np.zeros((d, n)), np.tile(np.eye(d), n)])
+    res = linprog(cost, A_ub=np.vstack([r_below_p, per_output]),
+                  b_ub=np.concatenate([np.zeros(n * d), np.full(d, 1.0 / m)]),
+                  A_eq=np.concatenate([np.ones(n), np.zeros(n * d)])[None], b_eq=[1.0],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def converse_channels():
+    """Seeded sparse (Dirichlet 0.2) and dense channels, channels with
+    entries in sixteenths, and BSC^n for n = 1..4."""
+    rng = np.random.default_rng(4)
+    chans = [StochasticChannel(rng.dirichlet(np.full(d_out, alpha), size=d_in).T)
+             for alpha in (0.2, 1.0) for d_in, d_out in [(3, 5), (6, 4), (8, 8), (10, 6)]]
+    for d_in, d_out in [(4, 4), (6, 3), (7, 7)]:
+        chans.append(StochasticChannel(np.array(
+            [rng.multinomial(16, np.ones(d_out) / d_out) for _ in range(d_in)]).T / 16))
+    chans += [tensor_power_channel(StochasticChannel.binary_symmetric(f), n)
+              for n, f in [(1, 0.1), (2, 0.05), (3, 0.1), (4, 0.035)]]
+    return chans
+
+
+class TestConverse:
+    @pytest.mark.parametrize("ch", converse_channels())
+    def test_never_below_the_best_codebook(self, ch):
+        bound = _converse(ch, ch.dim_in)
+        best = _best_success_per_size(ch)
+        for m in range(1, ch.dim_in + 1):
+            assert bound[m] >= m * best[m] - 1e-12 * m
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_ns_lp_on_bsc_powers(self, n):
+        # BSC^n is symmetric, so the best v is constant over the outputs and
+        # sits at one of the entries: the order statistics reach the LP value
+        ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.1), n)
+        bound = _converse(ch, ch.dim_in)
+        for m in range(1, ch.dim_in + 1):
+            assert abs(bound[m] / m - _ns_success(ch, m)) <= 1e-7
+
+    def test_computed_only_for_searched_sizes(self):
+        assert np.all(np.isinf(_converse(StochasticChannel.identity(5), 1)))
+        bound = _converse(StochasticChannel.identity(5), 3)
+        # v = 0 from j = 2 on: success <= 1, below the cover-all bound 5
+        assert np.isinf(bound[0]) and list(bound[1:]) == [1.0, 2.0, 3.0]
