@@ -36,6 +36,12 @@ from .entropy import (
 
 #: alternating-maximisation steps shannon_capacity takes before it gives up
 ITERATION_BUDGET = 200_000
+#: width at which shannon_capacity's dual bracket counts as closed (bits)
+CAPACITY_TOL = 1e-9
+#: log-spaced copy numbers stein_series asks for (repeats after rounding drop)
+STEIN_POINTS = 24
+#: seeded random encoder/decoder pairs constrained_holevo tries
+RANDOM_PAIRS = 200
 
 
 @dataclass(frozen=True)
@@ -63,21 +69,19 @@ class ConvergenceSeries:
         return out
 
 
-def stein_series(
-    p: Distribution, q: Distribution, eps: float, n_max: int, n_points: int = 24
-) -> ConvergenceSeries:
-    """Per-copy hypothesis-testing entropy of binary product laws on a
-    log-spaced copy grid; the target is the relative entropy."""
+def stein_series(p: Distribution, q: Distribution, eps: float, n_max: int) -> ConvergenceSeries:
+    """Per-copy hypothesis-testing entropy of binary product laws on a grid
+    of STEIN_POINTS log-spaced copy numbers; the target is the relative
+    entropy."""
     if p.dim != 2 or q.dim != 2:
         raise DimensionMismatchError("binary distributions required")
     n_max = _count(n_max, "n_max")
     if n_max > 10_000:
         raise ThermocapError("n_max is capped at 10^4")
-    n_points = _count(n_points, "n_points")
     logs_p, logs_q = _binary_laws(p, q, eps)
     # the grid starts at 10^0 = 1, so it is never empty; rounding leaves it
     # ascending, and only neighbours can repeat
-    grid = np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)
+    grid = np.round(np.logspace(0.0, math.log10(n_max), STEIN_POINTS)).astype(int)
     grid = grid[np.append(True, grid[1:] != grid[:-1])].tolist()
     # one table of ln k! for the largest n; each point reads a prefix of it
     log_fact = _log_factorials(grid[-1])
@@ -108,24 +112,24 @@ def _input_divergences(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-2)
 
 
-def shannon_capacity(ch: StochasticChannel, tol: float = 1e-9) -> ShannonCapacityResult:
+def shannon_capacity(ch: StochasticChannel) -> ShannonCapacityResult:
     """Input-optimised mutual information via alternating maximisation.
 
     Terminates on the standard dual bracket: the current mutual information
     is achievable, the largest per-symbol divergence is an upper bound, and
-    iteration stops once they agree to within tol.  Past ITERATION_BUDGET
-    steps it raises ConvergenceError with the last bracket attached.
+    iteration stops once they agree to within CAPACITY_TOL.  Past
+    ITERATION_BUDGET steps it raises ConvergenceError with the last bracket
+    attached; before the first step that is [0, log2 min(dim_in, dim_out)].
     """
-    if not 0.0 < tol < math.inf:
-        raise ThermocapError("tol must be finite and positive")
     matrix = ch.matrix
     r = np.full(ch.dim_in, 1.0 / ch.dim_in)
+    lower, upper = 0.0, math.log2(min(ch.dim_in, ch.dim_out))
     for iteration in range(1, ITERATION_BUDGET + 1):
         out = matrix @ r
         d = _input_divergences(matrix, out)
         lower = float(np.dot(r, d))
         upper = float(d.max())
-        if upper - lower < tol:
+        if upper - lower < CAPACITY_TOL:
             return ShannonCapacityResult(
                 bits=max(lower, 0.0),
                 optimal_input=Distribution(r),
@@ -169,14 +173,13 @@ def constrained_holevo(
     ch: StochasticChannel,
     theta: float,
     max_messages: int | None = None,
-    n_random: int = 200,
     seed: int = 0,
 ) -> ConstrainedHolevoResult:
     """Best found correlation value over encoder/decoder pairs whose induced
     classical version moves the uniform state by at most 2*theta in L1.
 
     Deterministic encoders (distinct input symbols with merge-by-likelihood
-    decoding) are enumerated within CODEBOOK_BUDGET, then n_random seeded
+    decoding) are enumerated within CODEBOOK_BUDGET, then RANDOM_PAIRS seeded
     random stochastic pairs are tried; the result is always a lower estimate
     of the true supremum.  The random pairs are drawn one after another in
     seeded order, exactly as per-pair `Generator.dirichlet` calls would draw
@@ -188,7 +191,7 @@ def constrained_holevo(
     cap = max(ch.dim_in, ch.dim_out)
     if max_messages is not None:
         cap = _count(max_messages, "max_messages")
-    n_random = _count(n_random, "n_random", low=0)
+    n_pairs = RANDOM_PAIRS
     rng = np.random.default_rng(_count(seed, "seed", low=0))
     best = 0.0
     best_witness = {"kind": "trivial", "message_count": 1}
@@ -211,15 +214,15 @@ def constrained_holevo(
 
     # each pair draws as k = dirichlet(ones(dim_in), size=m) followed by
     # l = dirichlet(ones(m), size=dim_out) would
-    sizes = np.empty(n_random, dtype=np.intp)
+    sizes = np.empty(n_pairs, dtype=np.intp)
     draws = []
-    for index in range(n_random):
+    for index in range(n_pairs):
         sizes[index] = m = int(rng.integers(1, cap + 1))
         draws.append(rng.standard_exponential(m * ch.dim_in + ch.dim_out * m))
     # one batch per M, in the per-pair strides (k and l are transposes of
     # row-sampled arrays), so every product has the bits of the pair's own
-    scores = np.full(n_random, -np.inf)
-    deviations = np.empty(n_random)
+    scores = np.full(n_pairs, -np.inf)
+    deviations = np.empty(n_pairs)
     # the M drawn, by bincount: np.unique imports numpy.ma (3 MB) on first use
     for m in np.flatnonzero(np.bincount(sizes)):
         indices = np.flatnonzero(sizes == m)
@@ -230,7 +233,7 @@ def constrained_holevo(
         deviations[indices] = dev
         scores[indices[ok]] = values
     # the first pair in draw order, and only a strictly better value
-    if n_random and scores.max() > best:
+    if n_pairs and scores.max() > best:
         i = int(np.argmax(scores))
         best = float(scores[i])
         best_witness = {"kind": "random", "message_count": int(sizes[i]),

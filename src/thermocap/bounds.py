@@ -39,6 +39,8 @@ from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
 from .thermo import work_from_correlation
 
 _CHAIN_TOL = 1e-6
+#: seeded random inputs of thm2's lower search; thm4 draws RANDOM_INPUTS // dim_in per codebook
+RANDOM_INPUTS = 32
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,21 @@ def _encoded_joint(ch: StochasticChannel, inputs, weights):
     return Distribution(joint.reshape(-1)), Distribution(reference.reshape(-1))
 
 
+def _codebook_renyi0(ch: StochasticChannel, codebook, eps: float, draws: int = 0, rng=None):
+    """The codebook's classical version, and the smoothed Renyi-0 results of
+    its output on the maximally correlated input and then on `draws` flat
+    Dirichlet inputs from rng."""
+    cv = classical_version(ch, codebook)
+    m = codebook.message_count
+    etas = [np.eye(m) / m] + [rng.dirichlet(np.ones(m * m)).reshape(m, m) for _ in range(draws)]
+    return cv, [smoothed_renyi0(*_output_joint(cv.matrix, eta), eps) for eta in etas]
+
+
 def _upper_witness(ch: StochasticChannel, codebook, eps: float):
     """Gibbs deviation of the codebook's classical version and the smoothed
     Renyi-0 result of its output on the maximally correlated input."""
-    cv = classical_version(ch, codebook)
-    m = codebook.message_count
-    q, r = _output_joint(cv.matrix, np.eye(m) / m)
-    return gibbs_deviation(cv), smoothed_renyi0(q, r, eps)
+    cv, (d0,) = _codebook_renyi0(ch, codebook, eps)
+    return gibbs_deviation(cv), d0
 
 
 def _verdict(problems) -> str:
@@ -129,30 +139,20 @@ def _best_codebooks_per_size(ch: StochasticChannel):
     return [_codebook_from_combo(ch, combo) for _, combo in best.values()]
 
 
-def _random_separable_inputs(ch: StochasticChannel, n_random: int, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        m = int(rng.integers(1, ch.dim_in + 1))
-        inputs = tuple(int(x) for x in rng.integers(0, ch.dim_in, size=m))
-        weights = rng.dirichlet(np.ones(m))
-        yield inputs, weights
-
-
 def capacity_entropic_bounds(
     ch: StochasticChannel,
     params: ErrorParams,
-    n_random: int = 32,
     seed: int = 0,
 ) -> BoundReport:
     """Two-sided entropic check on the one-shot capacity (CLI: bounds thm2).
 
-    Lower: best hypothesis-testing value over separable inputs minus the
-    one-shot penalty.  Upper: the upper end of the smoothed Renyi-0 bracket of
-    the capacity codebook's classical version on the maximally correlated
-    input.
+    Lower: best hypothesis-testing value over separable inputs (the best
+    codebook of each size, uniformly weighted, and RANDOM_INPUTS seeded
+    draws) minus the one-shot penalty.  Upper: the upper end of the smoothed
+    Renyi-0 bracket of the capacity codebook's classical version on the
+    maximally correlated input.
     """
     params.require_sandwich()
-    n_random = _count(n_random, "n_random", low=0)
     seed = _count(seed, "seed", low=0)
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
@@ -162,7 +162,11 @@ def capacity_entropic_bounds(
     best_inputs = None
     candidates = [(cb.inputs, np.full(len(cb.inputs), 1.0 / len(cb.inputs)))
                   for cb in _best_codebooks_per_size(ch)]
-    candidates += list(_random_separable_inputs(ch, n_random, seed))
+    rng = np.random.default_rng(seed)
+    for _ in range(RANDOM_INPUTS):
+        m = int(rng.integers(1, ch.dim_in + 1))
+        inputs = tuple(int(x) for x in rng.integers(0, ch.dim_in, size=m))
+        candidates.append((inputs, rng.dirichlet(np.ones(m))))
     for inputs, weights in candidates:
         q, r = _encoded_joint(ch, inputs, weights)
         bits, _ = hypothesis_testing_entropy(q, r, omega)
@@ -201,7 +205,6 @@ def capacity_entropic_bounds(
 def capacity_work_bounds(
     ch: StochasticChannel,
     params: ErrorParams,
-    n_random: int = 32,
     seed: int = 0,
 ) -> BoundReport:
     """Work-transmission check on the one-shot capacity (CLI: bounds thm4).
@@ -210,11 +213,11 @@ def capacity_work_bounds(
     estimates minus the one-shot work penalty, ln2 times the capacity, and
     the witness-based transmitted-work upper bracket.  The search scores the
     best codebook of each of the dim_in sizes on the maximally correlated
-    input and on n_random // dim_in seeded Dirichlet inputs, so it draws at
-    most n_random inputs in all, and none when n_random < dim_in.
+    input and on RANDOM_INPUTS // dim_in seeded Dirichlet inputs, so it
+    draws at most RANDOM_INPUTS inputs in all, and none when RANDOM_INPUTS <
+    dim_in.
     """
     params.require_work_sandwich()
-    n_random = _count(n_random, "n_random", low=0)
     seed = _count(seed, "seed", low=0)
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
@@ -226,17 +229,9 @@ def capacity_work_bounds(
     best_desc = None
     rng = np.random.default_rng(seed)
     for cb in _best_codebooks_per_size(ch):
-        t = classical_version(ch, cb).matrix
-        m = cb.message_count
-        inputs = [np.eye(m) / m]
-        for _ in range(n_random // ch.dim_in):
-            raw = rng.dirichlet(np.ones(m * m)).reshape(m, m)
-            inputs.append(raw)
-        for eta in inputs:
-            q, r = _output_joint(t, eta)
-            val = smoothed_renyi0(q, r, omega).bits
-            if val > best_d0:
-                best_d0, best_desc = val, list(cb.inputs)
+        for d0 in _codebook_renyi0(ch, cb, omega, RANDOM_INPUTS // ch.dim_in, rng)[1]:
+            if d0.bits > best_d0:
+                best_d0, best_desc = d0.bits, list(cb.inputs)
     lower = LN2 * best_d0 - terms["work_penalty_kT"]
     lower_bracket = (LN2 * best_d0, LN2 * best_d0 + math.log(1.0 / (1.0 - omega)))
 

@@ -127,15 +127,16 @@ def _check_budget(dim_in: int, sizes) -> None:
             f"{total} codebooks exceed CODEBOOK_BUDGET = {CODEBOOK_BUDGET}")
 
 
-def _codebook_batches(ch: StochasticChannel, sizes, batch: int = 4096):
+def _codebook_batches(ch: StochasticChannel, sizes):
     """Codebooks of distinct input symbols for each message count in `sizes`,
-    lexicographic within a size, in batches (combos, cols) where cols[b, j]
-    is the likelihood column of symbol combos[b, j].  The whole enumeration
-    is checked against CODEBOOK_BUDGET before it starts."""
+    lexicographic within a size, in batches (combos, cols) of at most 4096
+    codebooks where cols[b, j] is the likelihood column of symbol
+    combos[b, j].  The whole enumeration is checked against CODEBOOK_BUDGET
+    before it starts."""
     _check_budget(ch.dim_in, sizes)
     for m in sizes:
         it = itertools.combinations(range(ch.dim_in), m)
-        while chunk := list(itertools.islice(it, batch)):
+        while chunk := list(itertools.islice(it, 4096)):
             combos = np.array(chunk, dtype=np.intp)
             yield combos, ch.matrix.T[combos]
 

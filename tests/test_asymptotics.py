@@ -33,11 +33,18 @@ from thermocap.core import (
 from conftest import random_channel
 
 
+def chi_bar(ch, theta, pairs, **kwargs):
+    """constrained_holevo with RANDOM_PAIRS = pairs for this one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "RANDOM_PAIRS", pairs)
+        return constrained_holevo(ch, theta, **kwargs)
+
+
 def reference_constrained_holevo(ch, theta, n_random, seed):
     """The per-pair random search: one pair of rng.dirichlet calls and one
     scoring call per pair, after the deterministic witness; only a strictly
     better value replaces the incumbent."""
-    res = constrained_holevo(ch, theta, n_random=0)
+    res = chi_bar(ch, theta, 0)
     best, witness = res.bits, res.witness
     rng = np.random.default_rng(seed)
     cap = max(ch.dim_in, ch.dim_out)
@@ -109,25 +116,34 @@ class TestSteinSeries:
 
     @pytest.mark.parametrize("n_points", [0, -1, 2.5, 24.0, True, "24"])
     def test_bad_n_points_rejected(self, n_points):
-        # 0 raised IndexError, -1 ValueError, 2.5 TypeError; True ran as 1
+        # the grid size is asymptotics.STEIN_POINTS, no longer an argument:
+        # every value is refused, by position or by name
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
-        with pytest.raises(ThermocapError, match="n_points must be an integer >= 1"):
+        with pytest.raises(TypeError):
             stein_series(p, q, 0.1, 50, n_points)
+        with pytest.raises(TypeError, match="n_points"):
+            stein_series(p, q, 0.1, 50, n_points=n_points)
 
-    def test_n_points_limits_and_numpy_integers_accepted(self):
+    def test_n_points_limits_and_numpy_integers_accepted(self, monkeypatch):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
-        assert [n for n, _ in stein_series(p, q, 0.1, 50, 1).points] == [1]
-        assert stein_series(p, q, 0.1, 50, np.int32(5)) == stein_series(p, q, 0.1, 50, 5)
+        monkeypatch.setattr(asymptotics, "STEIN_POINTS", 1)
+        assert [n for n, _ in stein_series(p, q, 0.1, 50).points] == [1]
+        monkeypatch.setattr(asymptotics, "STEIN_POINTS", 5)
+        five = stein_series(p, q, 0.1, 50)
+        monkeypatch.setattr(asymptotics, "STEIN_POINTS", np.int32(5))
+        assert stein_series(p, q, 0.1, 50) == five
         # more points than copy numbers: the grid keeps each n once
-        assert [n for n, _ in stein_series(p, q, 0.1, 3, 40).points] == [1, 2, 3]
+        monkeypatch.setattr(asymptotics, "STEIN_POINTS", 40)
+        assert [n for n, _ in stein_series(p, q, 0.1, 3).points] == [1, 2, 3]
 
     @pytest.mark.parametrize("n_max,n_points", [
         (1, 1), (1, 24), (2, 5), (7, 40), (50, 3), (200, 24), (200, 300), (10_000, 24),
     ])
-    def test_grid_is_the_sorted_distinct_rounded_log_grid(self, n_max, n_points):
+    def test_grid_is_the_sorted_distinct_rounded_log_grid(self, monkeypatch, n_max, n_points):
         p, q = Distribution([0.7, 0.3]), Distribution([0.5, 0.5])
+        monkeypatch.setattr(asymptotics, "STEIN_POINTS", n_points)
         raw = np.round(np.logspace(0.0, math.log10(n_max), n_points)).astype(int)
-        assert [n for n, _ in stein_series(p, q, 0.1, n_max, n_points).points] \
+        assert [n for n, _ in stein_series(p, q, 0.1, n_max).points] \
             == sorted(set(raw.tolist()))
 
     def test_series_rejects_a_grid_that_is_not_strictly_increasing(self):
@@ -157,18 +173,13 @@ class TestShannonCapacity:
         res = shannon_capacity(StochasticChannel.binary_symmetric(flip))
         assert abs(res.bits - (1.0 - binary_entropy(flip))) < 1e-6
 
-    def test_bracket_width_certified(self, rng):
-        for _ in range(10):
-            ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            res = shannon_capacity(ch, tol=1e-9)
-            assert res.bracket[1] - res.bracket[0] < 1e-9
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        # nan used to run every iteration and then raise ConvergenceError,
-        # inf to return after one step
-        with pytest.raises(ThermocapError, match="tol must be finite and positive"):
-            shannon_capacity(StochasticChannel.binary_symmetric(0.1), tol=tol)
+    def test_bracket_width_certified(self, rng, monkeypatch):
+        for tol in (1e-9, 1e-4):
+            monkeypatch.setattr(asymptotics, "CAPACITY_TOL", tol)
+            for _ in range(10):
+                ch = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+                res = shannon_capacity(ch)
+                assert res.bracket[1] - res.bracket[0] < tol
 
     def test_iteration_budget_raises_with_the_last_bracket(self, monkeypatch):
         # a Z channel: the uniform input is not optimal, so the bracket
@@ -181,6 +192,11 @@ class TestShannonCapacity:
             shannon_capacity(ch)
         lower, upper = err.value.bracket
         assert 0.0 < lower < upper
+        # no step at all: the trivial bracket [0, log2 min(dim_in, dim_out)]
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 0)
+        with pytest.raises(ConvergenceError, match="ITERATION_BUDGET = 0") as err:
+            shannon_capacity(ch)
+        assert err.value.bracket == (0.0, 1.0)
         monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", steps)
         assert shannon_capacity(ch).iterations == steps
 
@@ -206,12 +222,12 @@ class TestConstrainedHolevo:
         for _ in range(8):
             ch = random_channel(rng, 3, 3)
             cap = shannon_capacity(ch).bits
-            res = constrained_holevo(ch, 0.3, n_random=50)
+            res = chi_bar(ch, 0.3, 50)
             assert res.bits <= cap + 1e-9
 
     def test_nondecreasing_in_theta(self, rng):
         ch = random_channel(rng, 3, 3)
-        values = [constrained_holevo(ch, th, n_random=50).bits for th in (0.05, 0.15, 0.3, 0.45)]
+        values = [chi_bar(ch, th, 50).bits for th in (0.05, 0.15, 0.3, 0.45)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("max_messages", [0, -1])
@@ -258,7 +274,7 @@ class TestConstrainedHolevo:
                     value = float(terms.sum(axis=0).sum() / m)
                     if value > best:
                         best, witness = value, (list(combo), deviation)
-            res = constrained_holevo(ch, theta, n_random=0)
+            res = chi_bar(ch, theta, 0)
             assert res.bits == pytest.approx(best, abs=1e-12)
             if witness is None:
                 assert res.witness == {"kind": "trivial", "message_count": 1}
@@ -270,8 +286,8 @@ class TestConstrainedHolevo:
 
     @pytest.mark.parametrize("n_random", [2.5, -3, True, "3"])
     def test_bad_n_random_rejected(self, n_random):
-        # 2.5 used to raise a bare TypeError and -3 to run as 0
-        with pytest.raises(ThermocapError, match="n_random"):
+        # the draw count is asymptotics.RANDOM_PAIRS, no longer an argument
+        with pytest.raises(TypeError, match="n_random"):
             constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
                                n_random=n_random)
 
@@ -287,7 +303,7 @@ class TestConstrainedHolevo:
         kinds = set()
         for theta in (0.05, 0.25, 0.45):
             for n_random in (0, 1, 200):
-                res = constrained_holevo(ch, theta, n_random=n_random, seed=seed)
+                res = chi_bar(ch, theta, n_random, seed=seed)
                 best, witness = reference_constrained_holevo(ch, theta, n_random, seed)
                 assert res.bits == best
                 assert res.witness == witness
@@ -295,10 +311,18 @@ class TestConstrainedHolevo:
                 kinds.add(witness["kind"])
         assert ("random" in kinds) == random_wins
 
+    def test_random_pairs_raise_the_estimate(self):
+        # at theta = 0.1 on three inputs the default draws beat every
+        # deterministic codebook, so the estimate needs them
+        ch = random_channel(np.random.default_rng(11), 3, 3)
+        res = constrained_holevo(ch, 0.1)
+        assert res.witness["kind"] == "random"
+        assert res.bits > chi_bar(ch, 0.1, 0).bits + 0.01
+
     def test_tied_random_pairs_keep_the_incumbent(self):
         # with one message every pair scores exactly 0, as the trivial witness does
-        res = constrained_holevo(random_channel(np.random.default_rng(4), 3, 3), 0.25,
-                                 max_messages=1, n_random=50)
+        res = chi_bar(random_channel(np.random.default_rng(4), 3, 3), 0.25, 50,
+                      max_messages=1)
         assert res.bits == 0.0
         assert res.witness == {"kind": "trivial", "message_count": 1}
 
@@ -313,7 +337,7 @@ class TestConstrainedHolevo:
             return _mutual_information_bits(t)
 
         monkeypatch.setattr(asymptotics, "_mutual_information_bits", counted)
-        constrained_holevo(ch, 0.25, n_random=200)
+        constrained_holevo(ch, 0.25)
         deterministic = sum(1 for _ in _codebook_batches(ch, range(1, ch.dim_in + 1)))
         assert len(calls) <= deterministic + max(ch.dim_in, ch.dim_out)
 
@@ -323,7 +347,7 @@ class TestConstrainedHolevo:
         for _ in range(5):
             ch = random_channel(rng, 3, 3)
             cap = shannon_capacity(ch).bits
-            loose = constrained_holevo(ch, 0.45, n_random=400).bits
+            loose = chi_bar(ch, 0.45, 400).bits
             assert loose >= cap - 0.15
 
 

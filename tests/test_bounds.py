@@ -203,13 +203,13 @@ SEEDED = {
     "theta_equilibrium_capacity": lambda seed: theta_equilibrium_capacity(
         StochasticChannel.identity(3), 0.1, 0.2, randomized=True, seed=seed),
     "capacity_entropic_bounds": lambda seed: capacity_entropic_bounds(
-        StochasticChannel.identity(2), THM2, n_random=4, seed=seed).to_dict(),
+        StochasticChannel.identity(2), THM2, seed=seed).to_dict(),
     "capacity_work_bounds": lambda seed: capacity_work_bounds(
-        StochasticChannel.identity(2), THM4, n_random=4, seed=seed).to_dict(),
+        StochasticChannel.identity(2), THM4, seed=seed).to_dict(),
     "landauer_scenario": lambda seed: landauer_scenario(
         StochasticChannel.identity(2), 0.05, 200, seed=seed).to_dict(),
     "constrained_holevo": lambda seed: constrained_holevo(
-        StochasticChannel.identity(2), 0.25, n_random=4, seed=seed),
+        StochasticChannel.identity(2), 0.25, seed=seed),
     "regularized_capacity_series": lambda seed: regularized_capacity_series(
         StochasticChannel.binary_symmetric(0.1), 0.1, k_max=1, theta=0.25, seed=seed),
 }
@@ -231,29 +231,46 @@ class TestSeedValidation:
         assert type(SEEDED["landauer_scenario"](np.int64(7))["seed"]) is int
 
 
+def lower_estimate(checker, ch, params, draws):
+    """The checker's lower estimate with RANDOM_INPUTS = draws for this one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "RANDOM_INPUTS", draws)
+        return checker(ch, params).lower_estimate
+
+
 class TestNRandomValidation:
-    # 2.5 raised a bare TypeError in the entropic checker; there -3 drew
-    # nothing and True one input, and the work checker ran 2.5 and -3 as one
-    # draw per codebook
+    # the draw count is bounds.RANDOM_INPUTS, no longer an argument
     @pytest.mark.parametrize("n_random", [2.5, -3, True])
     @pytest.mark.parametrize("checker, params", [(capacity_entropic_bounds, THM2),
                                                  (capacity_work_bounds, THM4)])
     def test_bad_n_random_rejected(self, checker, params, n_random):
-        with pytest.raises(ThermocapError, match="n_random must be an integer >= 0"):
+        with pytest.raises(TypeError, match="n_random"):
             checker(StochasticChannel.identity(2), params, n_random=n_random)
 
     @pytest.mark.parametrize("checker, params", [(capacity_entropic_bounds, THM2),
                                                  (capacity_work_bounds, THM4)])
-    def test_numpy_integer_n_random_accepted(self, checker, params):
+    def test_numpy_integer_n_random_accepted(self, monkeypatch, checker, params):
         ch = StochasticChannel.identity(2)
-        got = checker(ch, params, n_random=np.int64(3)).to_dict()
-        assert got == checker(ch, params, n_random=3).to_dict()
+        monkeypatch.setattr(bounds, "RANDOM_INPUTS", 3)
+        want = checker(ch, params).to_dict()
+        monkeypatch.setattr(bounds, "RANDOM_INPUTS", np.int64(3))
+        assert checker(ch, params).to_dict() == want
+
+    @pytest.mark.parametrize("checker, params, ch", [
+        # seeded draws win on a three-input random channel for thm2 and on a
+        # two-input noisy channel for thm4, so the estimates need them
+        (capacity_entropic_bounds, THM2, random_channel(np.random.default_rng(4), 3, 3)),
+        (capacity_work_bounds, THM4, StochasticChannel.binary_symmetric(0.25)),
+    ])
+    def test_random_draws_raise_the_lower_estimate(self, checker, params, ch):
+        assert lower_estimate(checker, ch, params, bounds.RANDOM_INPUTS) \
+            > lower_estimate(checker, ch, params, 0) + 0.05
 
     @pytest.mark.parametrize("n_random", [0, 3, 4, 9])
     def test_work_checker_draws_at_most_n_random_inputs(self, monkeypatch, n_random):
-        # n_random // dim_in Dirichlet draws per codebook, one codebook per
-        # size: 0 and 3 draw none on four inputs, where every n_random below
-        # dim_in used to draw one per codebook
+        # RANDOM_INPUTS // dim_in Dirichlet draws per codebook, one codebook
+        # per size: 0 and 3 draw none on four inputs
+        monkeypatch.setattr(bounds, "RANDOM_INPUTS", n_random)
         joints = []
         output_joint = bounds._output_joint
 
@@ -262,7 +279,7 @@ class TestNRandomValidation:
             return output_joint(t, eta)
 
         monkeypatch.setattr(bounds, "_output_joint", recording)
-        capacity_work_bounds(StochasticChannel.identity(4), THM4, n_random=n_random)
+        capacity_work_bounds(StochasticChannel.identity(4), THM4)
         # beside the draws: the uniform input of each of the four codebooks
         # and of the upper witness
         drawn = len(joints) - 4 - 1

@@ -398,11 +398,13 @@ class TestThetaEquilibrium:
 
 class TestBatchedEnumerator:
     def test_lexicographic_order_in_batches(self):
-        ch = random_channel(np.random.default_rng(2), 6, 4)
-        seen = [tuple(c) for combos, _ in _codebook_batches(ch, [4, 2], batch=4)
-                for c in combos.tolist()]
-        expected = (list(itertools.combinations(range(6), 4))
-                    + list(itertools.combinations(range(6), 2)))
+        # C(15, 7) = 6435 codebooks span two batches of at most 4096
+        ch = random_channel(np.random.default_rng(2), 15, 3)
+        batches = list(_codebook_batches(ch, [7, 2]))
+        assert [len(combos) for combos, _ in batches] == [4096, 6435 - 4096, 105]
+        seen = [tuple(c) for combos, _ in batches for c in combos.tolist()]
+        expected = (list(itertools.combinations(range(15), 7))
+                    + list(itertools.combinations(range(15), 2)))
         assert seen == expected
 
     def test_budget_covers_every_size(self, monkeypatch):

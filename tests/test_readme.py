@@ -1,0 +1,37 @@
+"""README's list of module constants agrees with the code."""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+NAMED = set(re.findall(r"\bthermocap\.(\w+)\.([A-Z][A-Z0-9_]*)\b", README))
+
+MODULES = ("core", "entropy", "coding", "thermo", "bounds", "asymptotics")
+#: public numeric constants that are neither budgets nor tolerances: ln 2,
+#: and the defaults of the e_cut and k_steps arguments (CLI --ecut, --ksteps)
+NOT_BUDGETS = {("core", "LN2"), ("thermo", "DEFAULT_E_CUT"), ("thermo", "DEFAULT_K_STEPS")}
+
+
+def defined_constants(mod):
+    """Public upper-case names a module assigns a number to at top level."""
+    tree = ast.parse((ROOT / "src" / "thermocap" / f"{mod}.py").read_text())
+    module = importlib.import_module(f"thermocap.{mod}")
+    return {(mod, target.id) for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+            and isinstance(getattr(module, target.id), (int, float))}
+
+
+def test_every_named_constant_exists():
+    missing = [f"thermocap.{mod}.{name}" for mod, name in sorted(NAMED)
+               if not hasattr(importlib.import_module(f"thermocap.{mod}"), name)]
+    assert not missing
+
+
+def test_every_budget_and_tolerance_is_named():
+    constants = set().union(*map(defined_constants, MODULES))
+    assert {("bounds", "RANDOM_INPUTS"), ("core", "LN2")} <= constants
+    unnamed = [f"thermocap.{mod}.{name}" for mod, name in sorted(constants - NOT_BUDGETS - NAMED)]
+    assert not unnamed
