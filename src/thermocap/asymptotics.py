@@ -22,7 +22,6 @@ from .core import (
     ConvergenceError,
     DimensionMismatchError,
     Distribution,
-    SearchSpaceTooLargeError,
     StochasticChannel,
     ThermocapError,
     tensor_power_channel,
@@ -253,26 +252,24 @@ def regularized_capacity_series(
     """Per-copy one-shot capacities on tensor powers, with the alternating-
     maximisation capacity as the asymptotic target.
 
-    Exact values are labelled "exact"; anything that fell back to randomized
-    search is labelled "lower_bracket".  With theta given, a second series of
-    constrained correlation lower estimates is returned alongside.
+    Exact values are labelled "exact", and the lower brackets of searches
+    past `coding.NODE_BUDGET` "lower_bracket".  With theta given, a second
+    series of constrained correlation lower estimates is returned alongside.
     """
     k_max = _count(k_max, "k_max")
     if k_max > 3:
         raise ThermocapError("k_max must lie in 1..3")
+    if not 0.0 <= eps <= 1.0:
+        raise ThermocapError("eps must lie in [0, 1]")
+    if theta is not None and not 0.0 < theta < 0.5:
+        raise ThermocapError("need 0 < theta < 1/2")
     seed = _count(seed, "seed", low=0)
     target = shannon_capacity(ch).bits
-    points = []
-    labels = []
-    chi_points = []
+    points, labels, chi_points = [], [], []
     for k in range(1, k_max + 1):
         chk = tensor_power_channel(ch, k)
-        try:
-            res = one_shot_capacity(chk, eps)
-            labels.append("exact")
-        except SearchSpaceTooLargeError:
-            res = one_shot_capacity(chk, eps, randomized=True, seed=seed + k)
-            labels.append("lower_bracket")
+        res = one_shot_capacity(chk, eps)
+        labels.append("exact" if res.exact else "lower_bracket")
         points.append((k, res.bits / k))
         if theta is not None:
             chi = constrained_holevo(chk, theta, seed=seed + 100 + k)

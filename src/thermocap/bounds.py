@@ -18,6 +18,7 @@ import numpy as np
 from .coding import (
     _codebook_batches,
     _codebook_from_combo,
+    _exact_or_raise,
     _ml_success,
     classical_version,
     gibbs_deviation,
@@ -157,7 +158,7 @@ def capacity_entropic_bounds(
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
 
-    cap = one_shot_capacity(ch, eps)
+    cap = _exact_or_raise(one_shot_capacity(ch, eps))
     best_dh = 0.0
     best_inputs = None
     candidates = [(cb.inputs, np.full(len(cb.inputs), 1.0 / len(cb.inputs)))
@@ -222,7 +223,7 @@ def capacity_work_bounds(
     eps, omega, delta = params.eps, params.omega, params.delta
     terms = error_terms(params)
 
-    cap = one_shot_capacity(ch, eps)
+    cap = _exact_or_raise(one_shot_capacity(ch, eps))
     center = LN2 * cap.bits
 
     best_d0 = 0.0
@@ -276,7 +277,7 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
     if not eps <= theta < 0.5:
         raise ThermocapError("need eps <= theta < 1/2")
 
-    cap = theta_equilibrium_capacity(ch, eps, theta)
+    cap = _exact_or_raise(theta_equilibrium_capacity(ch, eps, theta))
     deviation, d0 = _upper_witness(ch, cap.codebook, 2.0 * eps)
     surrogate = d0.bracket[1]
     surrogate_upper = surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))
@@ -350,7 +351,7 @@ def landauer_scenario(
     """
     trials = _count(trials, "trials", low=2)
     seed = _count(seed, "seed", low=0)
-    cap = one_shot_capacity(ch, eps)
+    cap = _exact_or_raise(one_shot_capacity(ch, eps))
     m = cap.codebook.message_count
     if m < 2:
         raise NoFeasibleCodebookError("no codebook with at least two messages is feasible")

@@ -164,7 +164,7 @@ def build_parser() -> _Parser:
     capacity.add_argument("--eps", type=float, required=True)
     capacity.add_argument("--theta", type=float, default=None)
     capacity.add_argument("--max-m", type=int, default=None)
-    capacity.add_argument("--randomized", action="store_true")
+    capacity.add_argument("--randomized", action="store_true")  # echoed in params; an error
 
     work = _Parser(add_help=False)
     work.add_argument("--eps", type=float, required=True)
@@ -252,11 +252,10 @@ def _run_entropy(args):
 
 
 def _run_capacity(args):
-    kwargs = dict(max_messages=args.max_m, randomized=args.randomized, seed=args.seed)
-    if args.theta is None:
-        res = one_shot_capacity(args.channel, args.eps, **kwargs)
-    else:
-        res = theta_equilibrium_capacity(args.channel, args.eps, args.theta, **kwargs)
+    if args.randomized:
+        raise _UsageError("--randomized is gone: the search labels its own lower brackets")
+    res = (one_shot_capacity(args.channel, args.eps, args.max_m) if args.theta is None
+           else theta_equilibrium_capacity(args.channel, args.eps, args.theta, args.max_m))
     return {
         "bits": res.bits,
         "message_count": res.codebook.message_count,

@@ -2,11 +2,11 @@
 
 For a classical channel the average success probability is affine in each
 encoding distribution and each decoder column, so deterministic input symbols
-plus maximum-likelihood decoding are optimal; the exact capacity searches
-below therefore range over codebooks of distinct input symbols, by a
-branch-and-bound that returns the codebook a full enumeration would.  The
-batched enumerator `_codebook_batches` serves the callers that score every
-codebook.
+plus maximum-likelihood decoding are optimal; the capacity search below
+therefore ranges over codebooks of distinct input symbols, by a
+branch-and-bound that returns the codebook a full enumeration would, or a
+labelled lower bracket past NODE_BUDGET nodes.  The batched enumerator
+`_codebook_batches` serves the callers that score every codebook.
 """
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ from .core import (
 
 #: slack when comparing success probabilities against 1 - eps
 SUCCESS_TOL = 1e-12
-#: cap on the number of codebooks one search may range over
+#: cap on the number of codebooks one enumeration may range over
 CODEBOOK_BUDGET = 10_000_000
-#: codebooks a randomized capacity search draws
-SAMPLE_BUDGET = 100_000
+#: branch-and-bound nodes a capacity search visits before it settles for a lower bracket
+NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,15 @@ def _codebook_from_combo(ch: StochasticChannel, combo) -> Codebook:
     return Codebook(inputs=tuple(int(x) for x in combo), decoder=ml_decoder(ch, combo))
 
 
-def _check_budget(dim_in: int, sizes) -> None:
-    """Raise unless the codebooks of every size in `sizes` fit in CODEBOOK_BUDGET."""
-    total = sum(math.comb(dim_in, m) for m in sizes)
-    if total > CODEBOOK_BUDGET:
-        raise SearchSpaceTooLargeError(
-            f"{total} codebooks exceed CODEBOOK_BUDGET = {CODEBOOK_BUDGET}")
-
-
 def _codebook_batches(ch: StochasticChannel, sizes):
     """Codebooks of distinct input symbols for each message count in `sizes`,
     lexicographic within a size, in batches (combos, cols) of at most 4096
     codebooks where cols[b, j] is the likelihood column of symbol
     combos[b, j].  The whole enumeration is checked against CODEBOOK_BUDGET
     before it starts."""
-    _check_budget(ch.dim_in, sizes)
+    if (total := sum(math.comb(ch.dim_in, m) for m in sizes)) > CODEBOOK_BUDGET:
+        raise SearchSpaceTooLargeError(
+            f"{total} codebooks exceed CODEBOOK_BUDGET = {CODEBOOK_BUDGET}")
     for m in sizes:
         it = itertools.combinations(range(ch.dim_in), m)
         while chunk := list(itertools.islice(it, 4096)):
@@ -202,6 +196,8 @@ def _converse(ch: StochasticChannel, m_cap: int) -> np.ndarray:
 def _search_exact(ch, eps, m_cap):
     """First feasible codebook of the largest feasible message count, and the
     number of search nodes: one root per M, plus every child bounded or judged.
+    Past NODE_BUDGET nodes the search stops and returns `_greedy_swap`'s
+    codebook from the M it was at down, so it is exact iff nodes <= NODE_BUDGET.
 
     Depth-first branch-and-bound with M descending and combinations in
     lexicographic order within each M, so the first feasible leaf is the
@@ -214,10 +210,7 @@ def _search_exact(ch, eps, m_cap):
     sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
     gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
     (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`.
-    CODEBOOK_BUDGET counts every codebook of the sizes searched, as
-    `_codebook_batches` does.
     """
-    _check_budget(ch.dim_in, range(m_cap, 0, -1))
     converse = _converse(ch, m_cap)
     n = ch.dim_in
     rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
@@ -239,6 +232,8 @@ def _search_exact(ch, eps, m_cap):
             left = m - len(prefix)  # symbols still to choose, the next one included
             cand = np.arange(prefix[-1] + 1 if prefix else 0, n - left + 1)
             nodes += cand.size
+            if nodes > NODE_BUDGET:
+                return _greedy_swap(ch, eps, m), nodes
             if left == 1:
                 combos = np.empty((cand.size, m), dtype=np.intp)
                 combos[:, :-1], combos[:, -1] = prefix, cand
@@ -259,61 +254,69 @@ def _search_exact(ch, eps, m_cap):
     raise ThermocapError("single-message codebooks are always feasible; this is a bug")
 
 
-def _search_randomized(ch, eps, m_cap, seed):
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(SAMPLE_BUDGET):
-        m = int(rng.integers(1, m_cap + 1))
-        combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
-        if best is None or m > best.message_count:
-            if _feasible(ch.matrix.T[combo][None], eps).size:
-                best = _codebook_from_combo(ch, combo)
-    return best or _codebook_from_combo(ch, (0,))
+def _greedy_swap(ch, eps, m_top):
+    """A lower bracket: for M from m_top down, the first M symbols of the
+    greedy chain on sum_y max_{x in C} W(y|x) (ties to the lowest symbol),
+    improved by best single swaps until they meet 1 - eps or no swap raises
+    the sum; the first M that meets 1 - eps wins."""
+    rows = ch.matrix.T
+    chain = []
+    for _ in range(m_top):
+        gains = np.maximum(rows, rows[chain].max(axis=0, initial=0.0)).sum(axis=1)
+        gains[chain] = -np.inf
+        chain.append(int(np.argmax(gains)))
+    for m in range(m_top, 1, -1):
+        chosen = chain[:m]
+        value = rows[chosen].max(axis=0).sum()  # carried, so each swap strictly raises it
+        while not _feasible(rows[chosen][None], eps).size:
+            # sums[i, j]: the sum with chosen[i] swapped for outside[j]
+            outside = np.setdiff1d(np.arange(ch.dim_in), chosen)
+            rest = [np.delete(rows[chosen], i, axis=0).max(axis=0) for i in range(m)]
+            sums = np.array([np.maximum(rows[outside], r).sum(axis=1) for r in rest])
+            if sums.max(initial=value) <= value:
+                break
+            i, j = np.unravel_index(np.argmax(sums), sums.shape)
+            value, chosen[i] = sums[i, j], int(outside[j])
+        else:
+            return _codebook_from_combo(ch, sorted(chosen))
+    return _codebook_from_combo(ch, (0,))
 
 
-def _capacity(ch, eps, max_messages, randomized, seed):
+def _capacity(ch, eps, max_messages):
     m_cap = ch.dim_in
     if max_messages is not None:
         m_cap = min(_count(max_messages, "max_messages"), ch.dim_in)
-    seed = _count(seed, "seed", low=0)
-    if randomized:
-        cb = _search_randomized(ch, eps, m_cap, seed)
-    else:
-        cb, _ = _search_exact(ch, eps, m_cap)
-    return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=not randomized,
-                          method="randomized" if randomized else "exhaustive")
+    cb, nodes = _search_exact(ch, eps, m_cap)
+    exact = bool(nodes <= NODE_BUDGET)
+    return CapacityResult(bits=math.log2(cb.message_count), codebook=cb, exact=exact,
+                          method="exhaustive" if exact else "greedy_swap")
 
 
-def one_shot_capacity(
-    ch: StochasticChannel,
-    eps: float,
-    max_messages: int | None = None,
-    randomized: bool = False,
-    seed: int = 0,
-) -> CapacityResult:
+def _exact_or_raise(res: CapacityResult) -> CapacityResult:
+    """`res` for the callers that report a capacity with no bracket, if exact."""
+    if not res.exact:
+        raise SearchSpaceTooLargeError(f"capacity search ran out of NODE_BUDGET = {NODE_BUDGET} "
+                                       f"nodes; {res.bits} bits is only a lower bracket")
+    return res
+
+
+def one_shot_capacity(ch: StochasticChannel, eps: float,
+                      max_messages: int | None = None) -> CapacityResult:
     """One-shot classical capacity at average error eps, in bits.
 
-    Exact mode searches the codebooks of distinct input symbols with ML
-    decoding (optimal for classical channels) by branch-and-bound, M
-    descending and lexicographic within M, and returns log2 of the largest
-    feasible message count together with the first achieving codebook in
-    that order.  CODEBOOK_BUDGET caps the number of codebooks of the sizes
-    searched, counted before the search starts.  Randomized mode draws
-    SAMPLE_BUDGET codebooks and its result is only a lower bracket.
+    A branch-and-bound over codebooks of distinct input symbols with ML
+    decoding (optimal for classical channels), M descending and lexicographic
+    within M, gives log2 of the largest feasible M and the first achieving
+    codebook (method "exhaustive").  Past NODE_BUDGET nodes the result is a
+    greedy-and-swap lower bracket, exact False (method "greedy_swap").
     """
     if not 0.0 <= eps <= 1.0:
         raise ThermocapError("eps must lie in [0, 1]")
-    return _capacity(ch, eps, max_messages, randomized, seed)
+    return _capacity(ch, eps, max_messages)
 
 
-def theta_equilibrium_capacity(
-    ch: StochasticChannel,
-    eps: float,
-    theta: float,
-    max_messages: int | None = None,
-    randomized: bool = False,
-    seed: int = 0,
-) -> CapacityResult:
+def theta_equilibrium_capacity(ch: StochasticChannel, eps: float, theta: float,
+                               max_messages: int | None = None) -> CapacityResult:
     """One-shot capacity restricted to codebooks whose induced classical
     version moves the uniform message state by at most 2*theta in L1; that
     never binds here, so it runs `one_shot_capacity`'s search.  An ML
@@ -322,4 +325,4 @@ def theta_equilibrium_capacity(
     <= 2 eps <= 2 theta."""
     if not (0.0 < eps <= theta < 0.5):
         raise ThermocapError("need 0 < eps <= theta < 1/2")
-    return _capacity(ch, eps, max_messages, randomized, seed)
+    return _capacity(ch, eps, max_messages)

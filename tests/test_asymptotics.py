@@ -19,7 +19,7 @@ from thermocap import (
     stein_series,
     tensor_power_channel,
 )
-from thermocap import asymptotics
+from thermocap import asymptotics, coding
 from thermocap.asymptotics import _flat_dirichlet, _mutual_information_bits
 from thermocap.coding import _codebook_batches, _uniform_deviation
 from thermocap.core import (
@@ -382,6 +382,34 @@ class TestRegularizedSeries:
             envelope = chi + binary_entropy(eps) / ((1.0 - eps) * k)
             assert v <= envelope + 1e-9
         assert series.labels == ("exact", "exact", "exact")
+
+    def test_exhausted_search_is_a_lower_bracket(self, monkeypatch):
+        # BSC(0.1)^k at eps 0.2 takes 3, 5 and 25 nodes: a budget of 12 stops
+        # only k = 3, whose greedy point has the exact M = 4 but no certificate
+        ch = StochasticChannel.binary_symmetric(0.1)
+        exact = regularized_capacity_series(ch, 0.2, k_max=3)
+        assert exact.labels == ("exact", "exact", "exact")
+        monkeypatch.setattr(coding, "NODE_BUDGET", 12)
+        series = regularized_capacity_series(ch, 0.2, k_max=3)
+        assert series.labels == ("exact", "exact", "lower_bracket")
+        assert series.points[:2] == exact.points[:2]
+        assert series.points[2][1] <= exact.points[2][1]
+        # the capacity series takes no seed of its own: seed only moves chi-bar
+        assert regularized_capacity_series(ch, 0.2, k_max=3, seed=9) == series
+
+    @pytest.mark.parametrize("eps, theta, match", [
+        (1.5, None, "eps must lie in"), (-0.1, None, "eps must lie in"),
+        (0.1, 0.7, "need 0 < theta < 1/2"), (0.1, 0.0, "need 0 < theta < 1/2"),
+    ])
+    def test_bad_eps_or_theta_rejected_before_any_search(self, monkeypatch, eps, theta, match):
+        # eps = 1.5 once ran Blahut-Arimoto for seconds before the eps error
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking the arguments")
+
+        monkeypatch.setattr(asymptotics, "shannon_capacity", no_search)
+        monkeypatch.setattr(asymptotics, "one_shot_capacity", no_search)
+        with pytest.raises(ThermocapError, match=match):
+            regularized_capacity_series(StochasticChannel.identity(2), eps, theta=theta)
 
     def test_chi_series_alongside(self):
         series, chi_series = regularized_capacity_series(

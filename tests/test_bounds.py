@@ -20,7 +20,12 @@ from thermocap import (
 )
 from thermocap import bounds, coding
 from thermocap.bounds import _best_codebooks_per_size
-from thermocap.core import LN2, NoFeasibleCodebookError, ThermocapError
+from thermocap.core import (
+    LN2,
+    NoFeasibleCodebookError,
+    SearchSpaceTooLargeError,
+    ThermocapError,
+)
 
 from conftest import random_channel
 
@@ -198,10 +203,6 @@ THM4 = ErrorParams(eps=0.2, omega=0.1, delta=0.05)
 
 #: every public function that takes a seed, called on a small input
 SEEDED = {
-    "one_shot_capacity": lambda seed: one_shot_capacity(
-        StochasticChannel.identity(3), 0.1, randomized=True, seed=seed),
-    "theta_equilibrium_capacity": lambda seed: theta_equilibrium_capacity(
-        StochasticChannel.identity(3), 0.1, 0.2, randomized=True, seed=seed),
     "capacity_entropic_bounds": lambda seed: capacity_entropic_bounds(
         StochasticChannel.identity(2), THM2, seed=seed).to_dict(),
     "capacity_work_bounds": lambda seed: capacity_work_bounds(
@@ -215,11 +216,42 @@ SEEDED = {
 }
 
 
+class TestNodeBudget:
+    # every checker reports a capacity with no bracket field, so a capacity
+    # search that runs out of nodes is an error that names the budget
+    @pytest.mark.parametrize("check", [
+        lambda ch: capacity_entropic_bounds(ch, THM2),
+        lambda ch: capacity_work_bounds(ch, THM4),
+        lambda ch: equilibrium_capacity_bounds(ch, 0.1, 0.1),
+        lambda ch: landauer_scenario(ch, 0.1, 200),
+    ], ids=["thm2", "thm4", "prop2", "landauer"])
+    def test_exhausted_search_raises(self, monkeypatch, check):
+        ch = StochasticChannel.identity(3)
+        check(ch)
+        monkeypatch.setattr(coding, "NODE_BUDGET", 3)
+        with pytest.raises(SearchSpaceTooLargeError, match="NODE_BUDGET = 3 nodes"):
+            check(ch)
+
+
+#: the capacity searches, which lost their seed with the random codebook sampler
+UNSEEDED = {
+    "one_shot_capacity": lambda seed: one_shot_capacity(
+        StochasticChannel.identity(3), 0.1, seed=seed),
+    "theta_equilibrium_capacity": lambda seed: theta_equilibrium_capacity(
+        StochasticChannel.identity(3), 0.1, 0.2, seed=seed),
+}
+
+
 class TestSeedValidation:
-    # a seed of -1 raised numpy's bare ValueError, 2.5 a TypeError
+    # a seed of -1 raised numpy's bare ValueError, 2.5 a TypeError; the
+    # capacity searches now reject every seed
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
-    @pytest.mark.parametrize("name", sorted(SEEDED))
+    @pytest.mark.parametrize("name", sorted(SEEDED) + sorted(UNSEEDED))
     def test_bad_seed_rejected(self, name, seed):
+        if name in UNSEEDED:
+            with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
+                UNSEEDED[name](seed)
+            return
         with pytest.raises(ThermocapError, match="seed must be an integer >= 0"):
             SEEDED[name](seed)
 

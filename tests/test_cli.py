@@ -161,6 +161,13 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out)["result"]["bits"] == 1.0
 
+    def test_randomized_is_one_error_line(self, capsys, files):
+        # the random codebook sampler is gone; the flag stays declared so
+        # recorded params keep "randomized": false
+        code, out, err = _run(capsys, ["capacity", "--channel", files["bsc01"], "--eps", "0.1",
+                                       "--randomized"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --randomized is gone") and err.count("\n") == 1
 
     def test_module_entry_point(self, files):
         # python -m thermocap.cli runs the same front end as the script

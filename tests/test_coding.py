@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from thermocap import (
 from thermocap import coding
 from thermocap.coding import (
     SUCCESS_TOL,
+    CapacityResult,
     _codebook_batches,
     _converse,
     _feasible,
@@ -245,17 +247,23 @@ class TestOneShotCapacity:
             ch = random_channel(rng, 5, 3)
             assert one_shot_capacity(ch, 0.3).bits <= math.log2(5) + 1e-12
 
-    def test_budget_error_and_randomized_bracket(self, rng, monkeypatch):
-        ch = random_channel(rng, 12, 12)
-        with monkeypatch.context() as patch:
-            patch.setattr(coding, "CODEBOOK_BUDGET", 10)
-            with pytest.raises(SearchSpaceTooLargeError):
-                one_shot_capacity(ch, 0.3)
-        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 500)
-        res = one_shot_capacity(ch, 0.3, randomized=True, seed=1)
-        assert not res.exact
+    def test_node_budget_gives_a_seedless_lower_bracket(self, monkeypatch):
+        # exact M = 3 in 18 nodes; one node fewer stops the search, and greedy
+        # plus swaps finds only 2 messages: a labelled lower bracket
+        ch = StochasticChannel(np.random.default_rng(21).dirichlet(np.full(6, 0.5), size=6).T)
         exact = one_shot_capacity(ch, 0.3)
-        assert res.bits <= exact.bits + 1e-12
+        assert (exact.exact, exact.method, exact.codebook.message_count) == (True, "exhaustive", 3)
+        monkeypatch.setattr(coding, "NODE_BUDGET", 17)
+        res = one_shot_capacity(ch, 0.3)
+        assert (res.exact, res.method) == (False, "greedy_swap")
+        assert res.bits == 1.0 < exact.bits
+        assert success_probability(classical_version(ch, res.codebook)) >= 0.7 - SUCCESS_TOL
+        assert res.codebook.decoder == ml_decoder(ch, res.codebook.inputs)
+        # no seed to pick, and numpy's global generator does not move it
+        for search in (one_shot_capacity, theta_equilibrium_capacity):
+            assert not {"seed", "randomized"} & set(inspect.signature(search).parameters)
+        np.random.seed(5)
+        assert one_shot_capacity(ch, 0.3) == res == theta_equilibrium_capacity(ch, 0.3, 0.4)
 
     @pytest.mark.parametrize("ch", enumeration_channels())
     def test_first_feasible_codebook_in_search_order(self, ch):
@@ -278,16 +286,17 @@ class TestOneShotCapacity:
         ch = StochasticChannel.identity(4)
         assert one_shot_capacity(ch, 0.1, max_messages=np.int64(2)).bits == 1.0
 
-    def test_sample_budget_limits_and_numpy_integers_accepted(self, monkeypatch):
+    def test_node_budget_limits_and_numpy_integers_accepted(self, monkeypatch):
         ch = StochasticChannel.identity(3)
-        # no draw at all leaves the one-message codebook
-        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 0)
-        assert one_shot_capacity(ch, 0.1, randomized=True).bits == 0.0
-        monkeypatch.setattr(coding, "SAMPLE_BUDGET", 50)
-        want = one_shot_capacity(ch, 0.1, randomized=True, seed=2)
-        monkeypatch.setattr(coding, "SAMPLE_BUDGET", np.int32(50))
-        got = one_shot_capacity(ch, 0.1, randomized=True, seed=2)
-        assert got == want
+        # no node to spend: the greedy codebook is the answer, tight here
+        # but not certified
+        monkeypatch.setattr(coding, "NODE_BUDGET", 0)
+        res = one_shot_capacity(ch, 0.1)
+        assert (res.bits, res.exact, res.method) == (math.log2(3), False, "greedy_swap")
+        monkeypatch.setattr(coding, "NODE_BUDGET", np.int32(4))
+        got = one_shot_capacity(ch, 0.1)
+        assert got == CapacityResult(res.bits, res.codebook, True, "exhaustive")
+        assert got.exact is True
 
     def test_deterministic_encoders_suffice(self, rng):
         # stochastic encoders never beat the deterministic optimum: the
@@ -561,14 +570,14 @@ class TestBranchAndBound:
         assert hit >= 150
 
     def test_budget_counts_every_size(self, monkeypatch):
-        # the search raises on exactly the enumeration's budget: 2^12 - 1
-        ch = StochasticChannel.identity(12)
-        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 4094)
-        with pytest.raises(SearchSpaceTooLargeError,
-                           match="4095 codebooks exceed CODEBOOK_BUDGET = 4094"):
-            one_shot_capacity(ch, 0.1)
-        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 4095)
-        assert one_shot_capacity(ch, 0.1).bits == math.log2(12)
+        # 80 nodes on BSC(0.035)^4 at eps 0.1, 9 of them the roots of the
+        # sizes the converse refutes: a budget of 80 keeps the search exact
+        ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.035), 4)
+        cb, nodes = _search_exact(ch, 0.1, 16)
+        monkeypatch.setattr(coding, "NODE_BUDGET", nodes)
+        assert one_shot_capacity(ch, 0.1) == CapacityResult(math.log2(7), cb, True, "exhaustive")
+        monkeypatch.setattr(coding, "NODE_BUDGET", nodes - 1)
+        assert not one_shot_capacity(ch, 0.1).exact
 
 
 def _peak_bytes(call):
@@ -672,6 +681,15 @@ class TestConverse:
         bound = _converse(ch, ch.dim_in)
         for m in range(1, ch.dim_in + 1):
             assert abs(bound[m] / m - _ns_success(ch, m)) <= 1e-7
+
+    def test_exact_past_the_old_codebook_count(self):
+        # 2^32 - 1 codebooks, which the up-front count once refused: the
+        # search is exact in 844 nodes, and the non-signalling LP refutes M = 8
+        ch = tensor_power_channel(StochasticChannel.binary_symmetric(0.1), 5)
+        res = one_shot_capacity(ch, 0.2)
+        assert (res.exact, res.codebook.message_count) == (True, 7)
+        assert _search_exact(ch, 0.2, 32)[1] <= 1000
+        assert _ns_success(ch, 8) < 0.8 - 1e-6
 
     def test_computed_only_for_searched_sizes(self):
         assert np.all(np.isinf(_converse(StochasticChannel.identity(5), 1)))

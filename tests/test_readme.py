@@ -1,6 +1,7 @@
-"""README's list of module constants agrees with the code."""
+"""README's lists of module constants and seeded functions agree with the code."""
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -35,3 +36,14 @@ def test_every_budget_and_tolerance_is_named():
     assert {("bounds", "RANDOM_INPUTS"), ("core", "LN2")} <= constants
     unnamed = [f"thermocap.{mod}.{name}" for mod, name in sorted(constants - NOT_BUDGETS - NAMED)]
     assert not unnamed
+
+
+def test_seed_bullet_lists_every_seeded_function():
+    bullet = re.search(r"^- Every `seed` argument \(([^)]*)\)", README, re.M)
+    listed = set(re.findall(r"`(\w+)`", bullet.group(1)))
+    package = importlib.import_module("thermocap")
+    seeded = {name for name, obj in vars(package).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and "seed" in inspect.signature(obj).parameters}
+    assert listed == seeded
+    assert len(seeded) == 5
