@@ -178,12 +178,14 @@ def constrained_holevo(
     classical version moves the uniform state by at most 2*theta in L1.
 
     Deterministic encoders (distinct input symbols with merge-by-likelihood
-    decoding) are enumerated within CODEBOOK_BUDGET, then RANDOM_PAIRS seeded
-    random stochastic pairs are tried; the result is always a lower estimate
-    of the true supremum.  The random pairs are drawn one after another in
-    seeded order, exactly as per-pair `Generator.dirichlet` calls would draw
-    them, and scored in one batch per message count; a random witness is the
-    first pair in draw order attaining the best value.
+    decoding) are enumerated size by size within CODEBOOK_BUDGET (a walk
+    stopped there names its last size as largest_size_scored in the
+    witness), then RANDOM_PAIRS seeded random stochastic pairs are tried;
+    the result is always a lower estimate of the true supremum.  The random
+    pairs are drawn one after another in seeded order, exactly as per-pair
+    `Generator.dirichlet` calls would draw them, and scored in one batch per
+    message count; a random witness is the first pair in draw order
+    attaining the best value.
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
@@ -202,7 +204,9 @@ def constrained_holevo(
         ok = np.flatnonzero(dev <= 2.0 * theta + 1e-12)
         return dev, ok, _mutual_information_bits(t[ok])
 
-    for combos, cols in _codebook_batches(ch, range(1, min(cap, ch.dim_in) + 1)):
+    top, scored = min(cap, ch.dim_in), 0
+    for combos, cols in _codebook_batches(ch, range(1, top + 1)):
+        scored = combos.shape[1]
         t = _ml_composed(cols)
         dev, ok, values = score(t)
         if values.size and values.max() > best:
@@ -237,6 +241,8 @@ def constrained_holevo(
         best = float(scores[i])
         best_witness = {"kind": "random", "message_count": int(sizes[i]),
                         "deviation": float(deviations[i])}
+    if scored < top:
+        best_witness["largest_size_scored"] = scored
 
     return ConstrainedHolevoResult(bits=best, message_count=best_witness["message_count"],
                                    witness=best_witness)

@@ -128,8 +128,8 @@ def _verdict(problems) -> str:
 
 
 def _best_codebooks_per_size(ch: StochasticChannel):
-    """Highest-success codebook for every message count (search family);
-    the first maximum of each size wins."""
+    """Highest-success codebook for message counts 1, 2, ... as far as the
+    walk gets within CODEBOOK_BUDGET; the first maximum of each size wins."""
     best = {}
     for combos, cols in _codebook_batches(ch, range(1, ch.dim_in + 1)):
         ps = _ml_success(cols)
@@ -161,8 +161,8 @@ def capacity_entropic_bounds(
     cap = _exact_or_raise(one_shot_capacity(ch, eps))
     best_dh = 0.0
     best_inputs = None
-    candidates = [(cb.inputs, np.full(len(cb.inputs), 1.0 / len(cb.inputs)))
-                  for cb in _best_codebooks_per_size(ch)]
+    per_size = _best_codebooks_per_size(ch)
+    candidates = [(cb.inputs, np.full(len(cb.inputs), 1.0 / len(cb.inputs))) for cb in per_size]
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_INPUTS):
         m = int(rng.integers(1, ch.dim_in + 1))
@@ -198,6 +198,7 @@ def capacity_entropic_bounds(
             "best_lower_inputs": list(best_inputs) if best_inputs is not None else None,
             "best_lower_dh_bits": best_dh,
             "renyi0_witness": list(d0.witness.indices),
+            **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
         },
         verdict=_verdict(problems),
     )
@@ -213,7 +214,7 @@ def capacity_work_bounds(
     All three quantities are in k_B*T: searched correlation-work lower
     estimates minus the one-shot work penalty, ln2 times the capacity, and
     the witness-based transmitted-work upper bracket.  The search scores the
-    best codebook of each of the dim_in sizes on the maximally correlated
+    best codebook of each size its walk reaches on the maximally correlated
     input and on RANDOM_INPUTS // dim_in seeded Dirichlet inputs, so it
     draws at most RANDOM_INPUTS inputs in all, and none when RANDOM_INPUTS <
     dim_in.
@@ -229,7 +230,8 @@ def capacity_work_bounds(
     best_d0 = 0.0
     best_desc = None
     rng = np.random.default_rng(seed)
-    for cb in _best_codebooks_per_size(ch):
+    per_size = _best_codebooks_per_size(ch)
+    for cb in per_size:
         for d0 in _codebook_renyi0(ch, cb, omega, RANDOM_INPUTS // ch.dim_in, rng)[1]:
             if d0.bits > best_d0:
                 best_d0, best_desc = d0.bits, list(cb.inputs)
@@ -259,6 +261,7 @@ def capacity_work_bounds(
             "best_lower_d0_bits": best_d0,
             "lower_surrogate_bracket_kT": list(lower_bracket),
             "renyi0_witness": list(d0_upper.witness.indices),
+            **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
         },
         verdict=_verdict(problems),
     )

@@ -123,12 +123,13 @@ def _codebook_batches(ch: StochasticChannel, sizes):
     """Codebooks of distinct input symbols for each message count in `sizes`,
     lexicographic within a size, in batches (combos, cols) of at most 4096
     codebooks where cols[b, j] is the likelihood column of symbol
-    combos[b, j].  The whole enumeration is checked against CODEBOOK_BUDGET
-    before it starts."""
-    if (total := sum(math.comb(ch.dim_in, m) for m in sizes)) > CODEBOOK_BUDGET:
-        raise SearchSpaceTooLargeError(
-            f"{total} codebooks exceed CODEBOOK_BUDGET = {CODEBOOK_BUDGET}")
+    combos[b, j].  The walk takes the sizes in order while the running
+    codebook count stays within CODEBOOK_BUDGET, and stops before the first
+    size that would pass it; a caller sees where from combos.shape[1]."""
+    total = 0
     for m in sizes:
+        if (total := total + math.comb(ch.dim_in, m)) > CODEBOOK_BUDGET:
+            return
         it = itertools.combinations(range(ch.dim_in), m)
         while chunk := list(itertools.islice(it, 4096)):
             combos = np.array(chunk, dtype=np.intp)
@@ -205,16 +206,14 @@ def _search_exact(ch, eps, m_cap):
     `_converse` bound is below M (1 - eps), less a rounding slack, costs its
     root alone.  With cur the row maxima of a prefix, M * success =
     sum_y max_{x in C} W(y|x) is monotone submodular (Nemhauser, Wolsey &
-    Fisher 1978), and a prefix ending in symbol a is pruned when neither
-    bound reaches the same level: the cover-all bound
-    sum_y max(cur_y, max_{x > a} W(y|x)), and sum_y cur_y plus the r largest
-    gains sum_y (W(y|x) - cur_y)^+ over x > a, for r symbols still to choose
-    (Nemhauser & Wolsey 1981).  Leaves are judged by `_feasible`.
+    Fisher 1978), and a prefix ending in symbol a is pruned when its top-r
+    gain bound, sum_y cur_y plus the r largest gains sum_y (W(y|x) - cur_y)^+
+    over x > a for r symbols still to choose (Nemhauser & Wolsey 1981), does
+    not reach the same level.  Leaves are judged by `_feasible`.
     """
     converse = _converse(ch, m_cap)
     n = ch.dim_in
     rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
-    suffix = np.maximum.accumulate(rows[::-1])[::-1]  # suffix[j][y] = max_{x >= j} W(y|x)
     target = (1.0 - eps) - SUCCESS_TOL
     nodes = 0
     for m in range(m_cap, 0, -1):
@@ -246,9 +245,7 @@ def _search_exact(ch, eps, m_cap):
             for part, gains in _gain_chunks(rows, child):
                 gains[cand[part, None] >= np.arange(n)] = 0.0  # only symbols after a
                 top[part] = np.sort(gains, axis=1)[:, n - left + 1:].sum(axis=1)
-            # child already holds a's column, so suffix[a] serves as the max over x > a
-            bound = np.minimum(np.maximum(child, suffix[cand]).sum(axis=1),
-                               child.sum(axis=1) + top)
+            bound = child.sum(axis=1) + top
             for i in np.flatnonzero(bound >= floor)[::-1].tolist():
                 stack.append((prefix + (int(cand[i]),), child[i]))
     raise ThermocapError("single-message codebooks are always feasible; this is a bug")

@@ -408,12 +408,6 @@ def _log_law(log_binom: np.ndarray, log0: float, log1: float) -> np.ndarray:
     return out
 
 
-def _log_binomial_pmf(prob0: float, prob1: float, n: int) -> np.ndarray:
-    """log P(k ones in n draws) for k = 0..n under the binary law (prob0,
-    prob1), each entry used as given (never as 1 - the other)."""
-    return _log_law(_log_binomial(_log_factorials(n), n), *_log_probs(prob0, prob1))
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     """np.exp(x) bit for bit, for x without NaN.  numpy's vector exp is
     several times slower on an argument whose result underflows (below

@@ -524,33 +524,19 @@ def restrict_support(j: JointDistribution):
     return JointDistribution(j.probs[np.ix_(keep_a, keep_b)]), keep_a, keep_b
 
 
-@dataclass(frozen=True)
-class WorkCorrelationResult:
-    value: float
-    delta: float
-    eps: float
-    entropy_bits: float
-    bracket: tuple
+@dataclass(frozen=True, kw_only=True)
+class WorkCorrelationResult(WorkExtractionResult):
+    """An extraction result on the restricted joint, plus the kept rows and columns."""
+
     support_a: tuple
     support_b: tuple
-    distribution_mode: str
-    #: bound on how far the coarsened grid moved the work, in that mode only
-    grid_error: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "value_kT": self.value,
-            "delta_kT": self.delta,
-            "eps": self.eps,
-            "entropy_bits": self.entropy_bits,
-            "bracket_kT": list(self.bracket),
-            "support_a": list(self.support_a),
-            "support_b": list(self.support_b),
-            "distribution_mode": self.distribution_mode,
-        }
-        if self.distribution_mode == "coarsened":
-            out["grid_error_kT"] = self.grid_error
-        return out
+        items = [(key, value) for key, value in super().to_dict().items()
+                 if key not in ("e_cut", "k_steps", "witness_indices", "window_kT")]
+        items[5:5] = [("support_a", list(self.support_a)),  # after bracket_kT
+                      ("support_b", list(self.support_b))]
+        return dict(items)
 
 
 def work_from_correlation(
@@ -580,13 +566,7 @@ def work_from_correlation(
         schedule=schedule,
     )
     return WorkCorrelationResult(
-        value=res.value,
-        delta=res.delta,
-        eps=eps,
-        entropy_bits=res.entropy_bits,
-        bracket=res.bracket,
+        **vars(res),
         support_a=tuple(int(i) for i in keep_a),
         support_b=tuple(int(i) for i in keep_b),
-        distribution_mode=res.distribution_mode,
-        grid_error=res.grid_error,
     )

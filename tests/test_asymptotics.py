@@ -25,7 +25,6 @@ from thermocap.coding import _codebook_batches, _uniform_deviation
 from thermocap.core import (
     ConvergenceError,
     DimensionMismatchError,
-    SearchSpaceTooLargeError,
     SupportViolationError,
     ThermocapError,
 )
@@ -242,10 +241,16 @@ class TestConstrainedHolevo:
             constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
                                max_messages=max_messages)
 
-    def test_enumeration_budget_raises_at_once(self):
-        # 2^24 - 1 deterministic codebooks exceed the default budget
-        with pytest.raises(SearchSpaceTooLargeError):
-            constrained_holevo(StochasticChannel.identity(24), 0.25)
+    def test_enumeration_stops_at_the_budget(self, monkeypatch):
+        # identity(6) has 6 + 15 + 20 codebooks of sizes 1..3: at a budget of
+        # 41 the walk scores those alone, answers, and names where it stopped
+        ch = StochasticChannel.identity(6)
+        full = constrained_holevo(ch, 0.25)
+        assert full.bits == math.log2(6) and "largest_size_scored" not in full.witness
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 41)
+        res = constrained_holevo(ch, 0.25)
+        assert math.log2(3) <= res.bits < full.bits
+        assert res.witness["largest_size_scored"] == 3
 
     @pytest.mark.parametrize("ch", [
         *(random_channel(np.random.default_rng(9), d_in, d_out)

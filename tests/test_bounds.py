@@ -337,3 +337,21 @@ class TestSearchFamily:
                     best = (ps, combo)
             expected.append(best[1])
         assert [cb.inputs for cb in _best_codebooks_per_size(ch)] == expected
+
+    @pytest.mark.parametrize("check", [
+        lambda ch: capacity_entropic_bounds(ch, THM2),
+        lambda ch: capacity_work_bounds(ch, THM4),
+    ], ids=["thm2", "thm4"])
+    def test_walk_stops_at_the_codebook_budget(self, monkeypatch, check):
+        # identity(6) has 6 + 15 + 20 + 15 codebooks of sizes 1..4: at a budget
+        # of 56 the lower search scores those alone, and the checker answers
+        ch = StochasticChannel.identity(6)
+        full = check(ch)
+        assert "largest_size_scored" not in full.witnesses
+        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 56)
+        assert [cb.message_count for cb in _best_codebooks_per_size(ch)] == [1, 2, 3, 4]
+        report = check(ch)
+        assert report.witnesses["largest_size_scored"] == 4
+        assert report.verdict == "consistent"
+        assert report.capacity == full.capacity
+        assert report.lower_estimate <= full.lower_estimate

@@ -31,7 +31,6 @@ from thermocap.coding import (
 )
 from thermocap.core import (
     DimensionMismatchError,
-    SearchSpaceTooLargeError,
     ThermocapError,
     tensor_power_channel,
 )
@@ -417,12 +416,19 @@ class TestBatchedEnumerator:
         assert seen == expected
 
     def test_budget_covers_every_size(self, monkeypatch):
+        # identity(5) has 5, 10, 10, 5, 1 codebooks of sizes 1..5: the walk
+        # takes the sizes in the given order, and whole, while the running
+        # count stays within the budget, and stops before the first past it
         ch = StochasticChannel.identity(5)
-        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 30)
-        with pytest.raises(SearchSpaceTooLargeError, match="CODEBOOK_BUDGET = 30"):
-            next(_codebook_batches(ch, range(1, 6)))
-        monkeypatch.setattr(coding, "CODEBOOK_BUDGET", 31)
-        assert sum(len(c) for c, _ in _codebook_batches(ch, range(1, 6))) == 31
+        for budget, sizes, walked in [(31, range(1, 6), [1, 2, 3, 4, 5]),
+                                      (30, range(1, 6), [1, 2, 3, 4]),
+                                      (24, range(1, 6), [1, 2]),
+                                      (4, range(1, 6), []),
+                                      (6, [5, 1, 2, 3], [5, 1])]:
+            monkeypatch.setattr(coding, "CODEBOOK_BUDGET", budget)
+            batches = list(_codebook_batches(ch, sizes))
+            assert [c.shape[1] for c, _ in batches] == walked
+            assert sum(len(c) for c, _ in batches) == sum(math.comb(5, m) for m in walked)
 
     @pytest.mark.parametrize("ch", enumeration_channels())
     def test_helpers_match_classical_version(self, ch):
@@ -440,12 +446,18 @@ class TestBatchedEnumerator:
 class TestBranchAndBound:
     @pytest.mark.parametrize("theta", [None, 0.25])
     def test_matches_enumeration_on_dirichlet_channels(self, theta):
-        # Dirichlet(0.2) columns are sparse, so the bounds prune hard and a
-        # pruning slip would change the codebook
+        # Dirichlet(0.2) columns are sparse, so the bound prunes hard and a
+        # pruning slip would change the codebook; the last ten channels repeat
+        # columns exactly (drawn with replacement from dim_in // 2), so whole
+        # subtrees tie and the converse's cover-all level is at its tightest
         rng = np.random.default_rng(2024)
-        for _ in range(30):
+        for trial in range(40):
             dim_in = int(rng.integers(10, 15))
-            ch = StochasticChannel(rng.dirichlet(np.full(dim_in, 0.2), size=dim_in).T)
+            if trial < 30:
+                ch = StochasticChannel(rng.dirichlet(np.full(dim_in, 0.2), size=dim_in).T)
+            else:
+                distinct = rng.dirichlet(np.full(dim_in, 0.2), size=dim_in // 2).T
+                ch = StochasticChannel(distinct[:, rng.integers(0, dim_in // 2, size=dim_in)])
             eps = float(rng.choice([0.05, 0.1, 0.2]))
             if theta is None:
                 cb, _ = _search_exact(ch, eps, dim_in)

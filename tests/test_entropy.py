@@ -457,12 +457,19 @@ class TestTypeClasses:
         assert dev200 < dev20
 
 
+def log_binomial_pmf(prob0, prob1, n):
+    """log P(k ones in n draws) for k = 0..n under the binary law (prob0,
+    prob1), each entry used as given, from a fresh table of ln k!."""
+    log_binom = entropy._log_binomial(entropy._log_factorials(n), n)
+    return entropy._log_law(log_binom, *entropy._log_probs(prob0, prob1))
+
+
 class TestLogBinomial:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 200, 1000, 10_000])
     def test_log_binomial_coefficients_exact(self, n):
         # with both entries 1 only log C(n, k) remains; 31/32 is the seam
         # between the lgamma table and Stirling's series
-        got = entropy._log_binomial_pmf(1.0, 1.0, n)
+        got = log_binomial_pmf(1.0, 1.0, n)
         # the exact integers C(n, k), built along the row: C(n, k+1) = C(n, k)(n-k)/(k+1)
         comb = [1]
         for k in range(n):
@@ -475,14 +482,14 @@ class TestLogBinomial:
         # -inf exactly where a class needs the absent symbol, without warnings
         ones = np.full(n + 1, -np.inf)
         ones[n] = 0.0
-        assert np.array_equal(entropy._log_binomial_pmf(0.0, 1.0, n), ones)
-        assert np.array_equal(entropy._log_binomial_pmf(1.0, 0.0, n), ones[::-1])
+        assert np.array_equal(log_binomial_pmf(0.0, 1.0, n), ones)
+        assert np.array_equal(log_binomial_pmf(1.0, 0.0, n), ones[::-1])
 
     def test_matches_scipy_logpmf(self, rng):
         for _ in range(60):
             n = int(rng.choice([1, 2, 7, 31, 32, 33, 200, 1000, 10_000]))
             p1 = float(rng.uniform(0.001, 0.999))
-            got = entropy._log_binomial_pmf(1.0 - p1, p1, n)
+            got = log_binomial_pmf(1.0 - p1, p1, n)
             np.testing.assert_allclose(got, binom.logpmf(np.arange(n + 1), n, p1), rtol=1e-12)
 
 
@@ -498,7 +505,7 @@ class TestSharedTables:
             log_binom = entropy._log_binomial(table, n)
             for p0, p1 in ((1.0, 1.0), (0.7, 0.3), (0.5, 0.5), (0.0, 1.0)):
                 got = entropy._log_law(log_binom, *entropy._log_probs(p0, p1))
-                assert got.tobytes() == entropy._log_binomial_pmf(p0, p1, n).tobytes()
+                assert got.tobytes() == log_binomial_pmf(p0, p1, n).tobytes()
 
     @pytest.mark.parametrize("n_max", [1000, 10_000])
     def test_stein_points_match_the_public_function(self, n_max):
@@ -516,7 +523,7 @@ class TestSharedTables:
         for _ in range(200):
             n = int(rng.choice([1, 5, 50, 300, 1000, 10_000]))
             p1 = float(rng.uniform(0.001, 0.999))
-            x = entropy._log_binomial_pmf(1.0 - p1, p1, n)
+            x = log_binomial_pmf(1.0 - p1, p1, n)
             for y in (x, x - x.max(), x[::-1], np.append(x, -np.inf),
                       np.linspace(-760.0, -700.0, 61), np.full(3, -800.0)):
                 assert entropy._exp(y).tobytes() == np.exp(y).tobytes()
@@ -536,7 +543,7 @@ class TestSharedTables:
         k = np.arange(n + 1)
         log_ratio = k * (np.log(q1) - np.log(p1) if p1 > 0.0 else 0.0)
         log_ratio[:n] += (n - k[:n]) * (np.log(q0) - np.log(p0) if p0 > 0.0 else 0.0)
-        log_ratio[np.isneginf(entropy._log_binomial_pmf(p0, p1, n))] = np.inf
+        log_ratio[np.isneginf(log_binomial_pmf(p0, p1, n))] = np.inf
         rises, falls = log_ratio[1:] > log_ratio[:-1], log_ratio[1:] < log_ratio[:-1]
         assert bool(rises.all() or falls.all()) == monotone
         assert np.array_equal(entropy._class_order(log_ratio), np.lexsort((k, log_ratio)))
@@ -576,8 +583,8 @@ def loop_iid_binary(p, q, eps, n):
     # pins the greedy over the type classes, not their log-masses
     (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
     k = np.arange(n + 1)
-    log_pmass = entropy._log_binomial_pmf(p0, p1, n)
-    log_rmass = entropy._log_binomial_pmf(q0, q1, n)
+    log_pmass = log_binomial_pmf(p0, p1, n)
+    log_rmass = log_binomial_pmf(q0, q1, n)
     pmass = np.exp(log_pmass)
     with np.errstate(divide="ignore"):
         lr_one = np.log(q1) - np.log(p1)

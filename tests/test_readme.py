@@ -8,6 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 NAMED = set(re.findall(r"\bthermocap\.(\w+)\.([A-Z][A-Z0-9_]*)\b", README))
+#: every backticked `thermocap.<module>.<name>`, lower-case and private names too
+DOTTED = set(re.findall(r"`thermocap\.(\w+)\.(\w+)", README))
 
 MODULES = ("core", "entropy", "coding", "thermo", "bounds", "asymptotics")
 #: public numeric constants that are neither budgets nor tolerances: ln 2,
@@ -27,6 +29,13 @@ def defined_constants(mod):
 
 def test_every_named_constant_exists():
     missing = [f"thermocap.{mod}.{name}" for mod, name in sorted(NAMED)
+               if not hasattr(importlib.import_module(f"thermocap.{mod}"), name)]
+    assert not missing
+
+
+def test_every_dotted_name_resolves():
+    assert ("entropy", "_greedy_cover") in DOTTED
+    missing = [f"thermocap.{mod}.{name}" for mod, name in sorted(DOTTED)
                if not hasattr(importlib.import_module(f"thermocap.{mod}"), name)]
     assert not missing
 
