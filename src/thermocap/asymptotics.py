@@ -19,7 +19,6 @@ from .coding import (
 )
 from .core import (
     _count,
-    ConvergenceError,
     DimensionMismatchError,
     Distribution,
     StochasticChannel,
@@ -33,7 +32,7 @@ from .entropy import (
     relative_entropy,
 )
 
-#: alternating-maximisation steps shannon_capacity takes before it gives up
+#: alternating-maximisation steps shannon_capacity takes before it returns an open bracket
 ITERATION_BUDGET = 200_000
 #: width at which shannon_capacity's dual bracket counts as closed (bits)
 CAPACITY_TOL = 1e-9
@@ -45,12 +44,13 @@ RANDOM_PAIRS = 200
 
 @dataclass(frozen=True)
 class ConvergenceSeries:
-    """Values indexed by copy number with the asymptotic target attached."""
+    """Values indexed by copy number with the asymptotic target (and its bracket, if open)."""
 
     points: tuple
     target: float
     target_label: str
     labels: tuple = ()
+    target_bracket: tuple = ()
 
     def __post_init__(self):
         ns = [n for n, _ in self.points]
@@ -65,6 +65,8 @@ class ConvergenceSeries:
         }
         if self.labels:
             out["labels"] = list(self.labels)
+        if self.target_bracket:
+            out["target_bracket"] = list(self.target_bracket)
         return out
 
 
@@ -100,6 +102,7 @@ class ShannonCapacityResult:
     optimal_input: Distribution
     iterations: int
     bracket: tuple
+    exact: bool
 
 
 def _input_divergences(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -116,31 +119,29 @@ def shannon_capacity(ch: StochasticChannel) -> ShannonCapacityResult:
 
     Terminates on the standard dual bracket: the current mutual information
     is achievable, the largest per-symbol divergence is an upper bound, and
-    iteration stops once they agree to within CAPACITY_TOL.  Past
-    ITERATION_BUDGET steps it raises ConvergenceError with the last bracket
-    attached; before the first step that is [0, log2 min(dim_in, dim_out)].
+    iteration stops once they agree to within CAPACITY_TOL (`exact`), or
+    after ITERATION_BUDGET steps with the bracket open.  `bits` is the
+    bracket's lower end, the mutual information of `optimal_input`; before
+    the first step the bracket is [0, log2 min(dim_in, dim_out)].
     """
     matrix = ch.matrix
     r = np.full(ch.dim_in, 1.0 / ch.dim_in)
     lower, upper = 0.0, math.log2(min(ch.dim_in, ch.dim_out))
-    for iteration in range(1, ITERATION_BUDGET + 1):
-        out = matrix @ r
-        d = _input_divergences(matrix, out)
-        lower = float(np.dot(r, d))
-        upper = float(d.max())
-        if upper - lower < CAPACITY_TOL:
-            return ShannonCapacityResult(
-                bits=max(lower, 0.0),
-                optimal_input=Distribution(r),
-                iterations=iteration,
-                bracket=(lower, upper),
-            )
+    iterations, exact = 0, False
+    for iterations in range(1, ITERATION_BUDGET + 1):
+        d = _input_divergences(matrix, matrix @ r)
+        lower, upper = float(np.dot(r, d)), float(d.max())
+        exact = upper - lower < CAPACITY_TOL
+        if exact or iterations == ITERATION_BUDGET:
+            break
         r = r * np.exp2(d)
         r /= r.sum()
-    raise ConvergenceError(
-        "alternating maximisation did not close the bracket within "
-        f"ITERATION_BUDGET = {ITERATION_BUDGET} iterations",
+    return ShannonCapacityResult(
+        bits=max(lower, 0.0),
+        optimal_input=Distribution(r),
+        iterations=iterations,
         bracket=(lower, upper),
+        exact=exact,
     )
 
 
@@ -259,8 +260,9 @@ def regularized_capacity_series(
     maximisation capacity as the asymptotic target.
 
     Exact values are labelled "exact", and the lower brackets of searches
-    past `coding.NODE_BUDGET` "lower_bracket".  With theta given, a second
-    series of constrained correlation lower estimates is returned alongside.
+    past `coding.NODE_BUDGET` "lower_bracket"; an open target bracket is
+    attached.  With theta given, a second series of constrained correlation
+    lower estimates is returned alongside.
     """
     k_max = _count(k_max, "k_max")
     if k_max > 3:
@@ -270,7 +272,9 @@ def regularized_capacity_series(
     if theta is not None and not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
     seed = _count(seed, "seed", low=0)
-    target = shannon_capacity(ch).bits
+    capacity = shannon_capacity(ch)
+    target = dict(target=capacity.bits, target_label="alternating-maximisation capacity (bits)",
+                  target_bracket=() if capacity.exact else capacity.bracket)
     points, labels, chi_points = [], [], []
     for k in range(1, k_max + 1):
         chk = tensor_power_channel(ch, k)
@@ -280,18 +284,9 @@ def regularized_capacity_series(
         if theta is not None:
             chi = constrained_holevo(chk, theta, seed=seed + 100 + k)
             chi_points.append((k, chi.bits / k))
-    series = ConvergenceSeries(
-        points=tuple(points),
-        target=target,
-        target_label="alternating-maximisation capacity (bits)",
-        labels=tuple(labels),
-    )
+    series = ConvergenceSeries(points=tuple(points), labels=tuple(labels), **target)
     if theta is None:
         return series
-    chi_series = ConvergenceSeries(
-        points=tuple(chi_points),
-        target=target,
-        target_label="alternating-maximisation capacity (bits)",
-        labels=tuple("lower_estimate" for _ in chi_points),
-    )
+    chi_series = ConvergenceSeries(points=tuple(chi_points),
+                                   labels=tuple("lower_estimate" for _ in chi_points), **target)
     return series, chi_series

@@ -126,18 +126,22 @@ def _to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scale_work_fields(result: dict, temperature: float) -> dict:
-    """Rescale values reported in k_B*T by a user temperature."""
-    scaled = dict(result)
+def _scale_work_fields(result: dict, temperature: float):
+    """`result` with a `*_kBT_units` twin, rescaled by a user temperature, beside
+    each `*_kT` value at any depth of nested dicts; and whether there was one."""
+    scaled, found = dict(result), False
     for key, val in result.items():
-        if key.endswith("_kT"):
+        if isinstance(val, dict):
+            scaled[key], nested = _scale_work_fields(val, temperature)
+            found |= nested
+        elif key.endswith("_kT"):
+            found = True
             new_key = key[: -len("_kT")] + "_kBT_units"
             if isinstance(val, list):
                 scaled[new_key] = [v * temperature if isinstance(v, float) else v for v in val]
             elif isinstance(val, float):
                 scaled[new_key] = val * temperature
-    scaled["temperature"] = temperature
-    return scaled
+    return scaled, found
 
 
 def build_parser() -> _Parser:
@@ -308,11 +312,14 @@ def _run_capacity_series(args):
 
 def _run_chi_bar(args):
     res = constrained_holevo(args.channel, args.theta, max_messages=args.max_m, seed=args.seed)
+    cap = shannon_capacity(args.channel)
+    open_bracket = {} if cap.exact else {"unconstrained_capacity_bracket": list(cap.bracket)}
     return {
         "bits_lower_estimate": res.bits,
         "message_count": res.message_count,
         "witness": res.witness,
-        "unconstrained_capacity_bits": shannon_capacity(args.channel).bits,
+        "unconstrained_capacity_bits": cap.bits,
+        **open_bracket,
     }
 
 
@@ -328,8 +335,9 @@ def main(argv=None) -> int:
             if name in params:
                 setattr(args, name, _load(params[name], cls))
         result = args.run(args)
-        if args.temperature != 1.0 and any(key.endswith("_kT") for key in result):
-            result = _scale_work_fields(result, args.temperature)
+        scaled, found = _scale_work_fields(result, args.temperature)
+        if found and args.temperature != 1.0:
+            result = dict(scaled, temperature=args.temperature)
         _emit(args, params, result)
     except (_UsageError, ThermocapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,11 +24,10 @@ from .core import (
     StochasticChannel,
     ThermocapError,
     _count,
+    _feasibility_threshold,
     trace_distance,
 )
 
-#: slack when comparing success probabilities against 1 - eps
-SUCCESS_TOL = 1e-12
 #: cap on the number of codebooks one enumeration may range over
 CODEBOOK_BUDGET = 10_000_000
 #: branch-and-bound nodes a capacity search visits before it settles for a lower bracket
@@ -157,7 +156,7 @@ def _uniform_deviation(t: np.ndarray) -> np.ndarray:
 
 def _feasible(cols: np.ndarray, eps: float) -> np.ndarray:
     """Indices of the batch's codebooks with success at least 1 - eps."""
-    return np.flatnonzero(_ml_success(cols) >= (1.0 - eps) - SUCCESS_TOL)
+    return np.flatnonzero(_ml_success(cols) >= _feasibility_threshold(eps))
 
 
 def _gain_chunks(rows: np.ndarray, levels: np.ndarray):
@@ -214,7 +213,7 @@ def _search_exact(ch, eps, m_cap):
     converse = _converse(ch, m_cap)
     n = ch.dim_in
     rows = ch.matrix.T  # rows[x] is the likelihood column of input symbol x
-    target = (1.0 - eps) - SUCCESS_TOL
+    target = _feasibility_threshold(eps)
     nodes = 0
     for m in range(m_cap, 0, -1):
         # prune or refute only past the rounding of the bounds (the converse's

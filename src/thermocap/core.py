@@ -6,6 +6,7 @@ and renormalised so sums are exact afterwards.  Energies are dimensionless
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ LN2 = math.log(2.0)
 SUM_TOL = 1e-9
 #: cap on tensor-product dimensions
 DEFAULT_DIM_CAP = 1 << 20
+#: slack on a mass (success, subset or window mass) tested against 1 - eps
+MASS_SLACK = 1e-12
 
 
 class ThermocapError(Exception):
@@ -52,12 +55,6 @@ class ZeroMarginalError(ThermocapError):
     pass
 
 
-class ConvergenceError(ThermocapError):
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -72,6 +69,11 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise ThermocapError(f"{name} must be an integer {bound}")
     return int(value)
+
+
+def _feasibility_threshold(eps: float) -> float:
+    """The level a mass must pass to count as reaching 1 - eps."""
+    return (1.0 - eps) - MASS_SLACK
 
 
 def _running_sum(x) -> np.ndarray:
@@ -343,27 +345,21 @@ def apply_local(ch: StochasticChannel, j: JointDistribution) -> JointDistributio
     return JointDistribution(ch.matrix @ j.probs)
 
 
-def tensor_power(p: Distribution, n: int) -> Distribution:
-    """i.i.d. product law; lexicographic order, first factor most significant.
-    Raises DimensionTooLargeError past DEFAULT_DIM_CAP outcomes."""
+def _kron_power(base: np.ndarray, side: int, n) -> np.ndarray:
+    """n-fold Kronecker power of `base`, first factor most significant.
+    Raises DimensionTooLargeError when side^n exceeds DEFAULT_DIM_CAP."""
     n = _count(n, "n")
-    if p.dim ** n > DEFAULT_DIM_CAP:
-        raise DimensionTooLargeError(
-            f"tensor power dimension {p.dim}^{n} exceeds DEFAULT_DIM_CAP = {DEFAULT_DIM_CAP}")
-    out = p.probs
-    for _ in range(n - 1):
-        out = np.kron(out, p.probs)
-    return Distribution(out)
-
-
-def tensor_power_channel(ch: StochasticChannel, n: int) -> StochasticChannel:
-    """i.i.d. product channel in the same index convention as tensor_power."""
-    n = _count(n, "n")
-    side = max(ch.dim_in, ch.dim_out)
     if side ** n > DEFAULT_DIM_CAP:
         raise DimensionTooLargeError(
             f"tensor power dimension {side}^{n} exceeds DEFAULT_DIM_CAP = {DEFAULT_DIM_CAP}")
-    out = ch.matrix
-    for _ in range(n - 1):
-        out = np.kron(out, ch.matrix)
-    return StochasticChannel(out)
+    return functools.reduce(np.kron, [base] * n)
+
+
+def tensor_power(p: Distribution, n: int) -> Distribution:
+    """i.i.d. product law; lexicographic order, first factor most significant."""
+    return Distribution(_kron_power(p.probs, p.dim, n))
+
+
+def tensor_power_channel(ch: StochasticChannel, n: int) -> StochasticChannel:
+    """i.i.d. product channel in tensor_power's order, capped on max(dim_in, dim_out)^n."""
+    return StochasticChannel(_kron_power(ch.matrix, max(ch.dim_in, ch.dim_out), n))

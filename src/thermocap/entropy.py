@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     _count,
+    _feasibility_threshold,
     _freeze,
     _running_sum,
     Distribution,
@@ -27,10 +28,6 @@ from .core import (
     SupportViolationError,
     ThermocapError,
 )
-
-#: slack on the strict feasibility inequality sum_{j in set} q_j > 1 - eps,
-#: so exact-boundary analytic cases are not lost to rounding noise
-FEASIBILITY_SLACK = 1e-12
 
 #: exact subset enumeration up to this dimension, branch-and-bound above it
 ENUM_LIMIT = 32
@@ -101,10 +98,6 @@ def min_positive_prob(p: Distribution) -> float:
     """Smallest strictly positive entry of p."""
     positive = p.probs[p.probs > 0.0]
     return float(positive.min())
-
-
-def _feasibility_threshold(eps: float) -> float:
-    return (1.0 - eps) - FEASIBILITY_SLACK
 
 
 def _bits(mass: float) -> float:

@@ -25,6 +25,7 @@ from .core import (
     ThermocapError,
     ZeroMarginalError,
     _count,
+    _feasibility_threshold,
     _freeze,
     _gibbs_probs,
     _running_sum,
@@ -309,7 +310,7 @@ def _gain_cdf(wd: WorkDistribution, eps: float):
         order = np.argsort(-wd.values)
         gains, probs = 0.0 - wd.values[order], wd.probs[order]
     cum = _running_sum(probs)
-    return gains, probs, cum, (1.0 - eps) - 1e-12
+    return gains, probs, cum, _feasibility_threshold(eps)
 
 
 def eps_delta_work(wd: WorkDistribution, eps: float, delta: float = 0.0) -> float:

@@ -23,7 +23,6 @@ from thermocap import asymptotics, coding
 from thermocap.asymptotics import _flat_dirichlet, _mutual_information_bits
 from thermocap.coding import _codebook_batches, _uniform_deviation
 from thermocap.core import (
-    ConvergenceError,
     DimensionMismatchError,
     SupportViolationError,
     ThermocapError,
@@ -180,24 +179,29 @@ class TestShannonCapacity:
                 res = shannon_capacity(ch)
                 assert res.bracket[1] - res.bracket[0] < tol
 
-    def test_iteration_budget_raises_with_the_last_bracket(self, monkeypatch):
+    def test_iteration_budget_returns_the_last_bracket_open(self, monkeypatch):
         # a Z channel: the uniform input is not optimal, so the bracket
         # closes only after some steps
         ch = StochasticChannel([[1.0, 0.4], [0.0, 0.6]])
-        steps = shannon_capacity(ch).iterations
-        assert steps > 2
+        closed = shannon_capacity(ch)
+        assert closed.exact and closed.iterations > 2
         monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 2)
-        with pytest.raises(ConvergenceError, match="ITERATION_BUDGET = 2") as err:
-            shannon_capacity(ch)
-        lower, upper = err.value.bracket
-        assert 0.0 < lower < upper
+        res = shannon_capacity(ch)
+        lower, upper = res.bracket
+        assert not res.exact and res.iterations == 2
+        assert 0.0 < lower < upper and upper - lower >= asymptotics.CAPACITY_TOL
+        assert res.bits == lower < closed.bits
         # no step at all: the trivial bracket [0, log2 min(dim_in, dim_out)]
         monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 0)
-        with pytest.raises(ConvergenceError, match="ITERATION_BUDGET = 0") as err:
-            shannon_capacity(ch)
-        assert err.value.bracket == (0.0, 1.0)
-        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", steps)
-        assert shannon_capacity(ch).iterations == steps
+        res = shannon_capacity(ch)
+        assert res.bracket == (0.0, 1.0)
+        assert not res.exact and res.iterations == 0 and res.bits == 0.0
+        # a budget of exactly the steps needed still closes, with the same bits
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", closed.iterations)
+        res = shannon_capacity(ch)
+        assert (res.bits, res.iterations, res.bracket, res.exact) == (
+            closed.bits, closed.iterations, closed.bracket, True)
+        assert res.optimal_input.probs.tobytes() == closed.optimal_input.probs.tobytes()
 
     def test_degraded_channel_never_gains(self, rng):
         for _ in range(10):
@@ -423,6 +427,16 @@ class TestRegularizedSeries:
         assert len(chi_series.points) == 2
         for (_, v), (_, c) in zip(series.points, chi_series.points):
             assert c <= series.target + 1e-6
+        assert "target_bracket" not in series.to_dict()
+
+    def test_open_target_bracket_rides_on_both_series(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 2)
+        ch = StochasticChannel([[1.0, 0.4], [0.0, 0.6]])
+        cap = shannon_capacity(ch)
+        assert not cap.exact
+        for series in regularized_capacity_series(ch, 0.1, k_max=1, theta=0.25):
+            assert (series.target, series.target_bracket) == (cap.bits, cap.bracket)
+            assert series.to_dict()["target_bracket"] == list(cap.bracket)
 
     @pytest.mark.parametrize("k_max", [0, -1, 2.5, 2.0, True, "2", None])
     def test_bad_copy_count_rejected(self, k_max):

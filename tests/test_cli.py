@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thermocap.cli as cli
-from thermocap import BoundReport
+from thermocap import BoundReport, asymptotics
 
 
 def _write(tmp_path, name, payload):
@@ -57,39 +57,53 @@ def _with_files(argv, files):
     return [files.get(a, a) for a in argv]
 
 
+#: one case per benchmark CLI variant: argv template, command, echoed params
+CLI_CASES = [
+    (["entropy", "d0", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
+     "entropy d0", {"p", "q", "eps"}),
+    (["entropy", "dh", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
+     "entropy dh", {"p", "q", "eps"}),
+    (["entropy", "rel", "--p", "pointmass4", "--q", "uniform4"],
+     "entropy rel", {"p", "q", "eps"}),
+    (["capacity", "--channel", "bsc01", "--eps", "0.1"],
+     "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
+    (["capacity", "--channel", "bsc01", "--eps", "0.15", "--theta", "0.25"],
+     "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
+    (["workext", "--state", "state2", "--hamiltonian", "ham2", "--eps", "0.15"],
+     "workext", {"state", "hamiltonian", "eps", "delta", "ecut", "ksteps", "schedule"}),
+    (["wcorr", "--joint", "phi2", "--eps", "0.05"],
+     "wcorr", {"joint", "eps", "delta", "ecut", "ksteps", "schedule"}),
+    (["bounds", "thm2", "--channel", "bsc01", "--eps", "0.15", "--omega", "0.075",
+      "--delta", "0.05"], "bounds thm2", {"channel", "eps", "omega", "delta", "theta"}),
+    (["bounds", "thm4", "--channel", "identity4", "--eps", "0.2", "--omega", "0.1",
+      "--delta", "0.05"], "bounds thm4", {"channel", "eps", "omega", "delta", "theta"}),
+    (["bounds", "prop2", "--channel", "bsc01", "--eps", "0.1", "--theta", "0.1"],
+     "bounds prop2", {"channel", "eps", "omega", "delta", "theta"}),
+    (["landauer", "--channel", "identity4", "--eps", "0.01", "--trials", "1000"],
+     "landauer", {"channel", "eps", "trials"}),
+    (["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05"],
+     "asymptotics stein", {"p", "q", "eps", "nmax"}),
+    (["asymptotics", "capacity-series", "--channel", "bsc01", "--eps", "0.1", "--kmax", "2"],
+     "asymptotics capacity-series", {"channel", "eps", "kmax", "theta"}),
+    (["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25"],
+     "asymptotics chi-bar", {"channel", "theta", "max_m"}),
+]
+
+
+def _kT_values(result):
+    """(value, its `*_kBT_units` twin or None) for every `*_kT` key at any
+    depth of nested dicts."""
+    for key, val in result.items():
+        if isinstance(val, dict):
+            yield from _kT_values(val)
+        elif key.endswith("_kT"):
+            yield val, result.get(key[: -len("_kT")] + "_kBT_units")
+
+
 class TestParamsEcho:
-    # one case per benchmark CLI variant: the params echo is every flag the
-    # subcommand declares, with no global flag or selector among them
-    @pytest.mark.parametrize("argv, command, params", [
-        (["entropy", "d0", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
-         "entropy d0", {"p", "q", "eps"}),
-        (["entropy", "dh", "--p", "pointmass4", "--q", "uniform4", "--eps", "0.1"],
-         "entropy dh", {"p", "q", "eps"}),
-        (["entropy", "rel", "--p", "pointmass4", "--q", "uniform4"],
-         "entropy rel", {"p", "q", "eps"}),
-        (["capacity", "--channel", "bsc01", "--eps", "0.1"],
-         "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
-        (["capacity", "--channel", "bsc01", "--eps", "0.15", "--theta", "0.25"],
-         "capacity", {"channel", "eps", "theta", "max_m", "randomized"}),
-        (["workext", "--state", "state2", "--hamiltonian", "ham2", "--eps", "0.15"],
-         "workext", {"state", "hamiltonian", "eps", "delta", "ecut", "ksteps", "schedule"}),
-        (["wcorr", "--joint", "phi2", "--eps", "0.05"],
-         "wcorr", {"joint", "eps", "delta", "ecut", "ksteps", "schedule"}),
-        (["bounds", "thm2", "--channel", "bsc01", "--eps", "0.15", "--omega", "0.075",
-          "--delta", "0.05"], "bounds thm2", {"channel", "eps", "omega", "delta", "theta"}),
-        (["bounds", "thm4", "--channel", "identity4", "--eps", "0.2", "--omega", "0.1",
-          "--delta", "0.05"], "bounds thm4", {"channel", "eps", "omega", "delta", "theta"}),
-        (["bounds", "prop2", "--channel", "bsc01", "--eps", "0.1", "--theta", "0.1"],
-         "bounds prop2", {"channel", "eps", "omega", "delta", "theta"}),
-        (["landauer", "--channel", "identity4", "--eps", "0.01", "--trials", "1000"],
-         "landauer", {"channel", "eps", "trials"}),
-        (["asymptotics", "stein", "--p", "state2", "--q", "u2", "--eps", "0.05"],
-         "asymptotics stein", {"p", "q", "eps", "nmax"}),
-        (["asymptotics", "capacity-series", "--channel", "bsc01", "--eps", "0.1", "--kmax", "2"],
-         "asymptotics capacity-series", {"channel", "eps", "kmax", "theta"}),
-        (["asymptotics", "chi-bar", "--channel", "bsc01", "--theta", "0.25"],
-         "asymptotics chi-bar", {"channel", "theta", "max_m"}),
-    ])
+    # the params echo is every flag the subcommand declares, with no global
+    # flag or selector among them
+    @pytest.mark.parametrize("argv, command, params", CLI_CASES)
     def test_command_and_params(self, capsys, files, argv, command, params):
         code, out, _ = _run(capsys, ["--seed", "5", "--temperature", "2.0"]
                             + _with_files(argv, files))
@@ -101,6 +115,34 @@ class TestParamsEcho:
         # input files are echoed as the paths given, not as their contents
         for name in params & {"p", "q", "state", "hamiltonian", "joint", "channel"}:
             assert report["params"][name] == files[argv[argv.index(f"--{name}") + 1]]
+
+
+class TestTemperature:
+    @pytest.mark.parametrize("argv", [case[0] for case in CLI_CASES],
+                             ids=[case[1] for case in CLI_CASES])
+    def test_every_kT_value_has_a_rescaled_twin(self, capsys, files, argv):
+        # at any depth: bounds thm2 and thm4 keep theirs under error_terms
+        # and witnesses
+        code, out, _ = _run(capsys, ["--temperature", "2"] + _with_files(argv, files))
+        assert code == 0
+        result = json.loads(out)["result"]
+        pairs = list(_kT_values(result))
+        for value, twin in pairs:
+            if value is None:
+                assert twin is None
+            else:
+                assert np.array_equal(np.asarray(twin, dtype=float),
+                                      2.0 * np.asarray(value, dtype=float))
+        assert ("temperature" in result) == bool(pairs)
+        if pairs:
+            assert result["temperature"] == 2.0
+
+    def test_unit_temperature_moves_no_byte(self, capsys, files):
+        argv = _with_files(["bounds", "thm4", "--channel", "identity4", "--eps", "0.2",
+                            "--omega", "0.1", "--delta", "0.05"], files)
+        outs = [_run(capsys, flags + argv) for flags in ([], ["--temperature", "1"])]
+        assert outs[0] == outs[1]
+        assert "kBT_units" not in outs[0][1] and "temperature" not in json.loads(outs[0][1])["result"]
 
 
 class TestEntropyCommands:
@@ -382,6 +424,43 @@ class TestAsymptoticsCommands:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["bits_lower_estimate"] >= 0.5
+
+    @pytest.fixture
+    def stalled(self, files, monkeypatch):
+        """A 4 x 2 channel on which alternating maximisation stalls: its
+        bracket is still 6.4e-9 wide after 2 x 10^5 steps.  A budget of 1000
+        steps leaves it open just as well, and fast."""
+        monkeypatch.setattr(asymptotics, "ITERATION_BUDGET", 1000)
+        w0 = [4.22e-9, 0.01034, 0.09280, 4.66e-6]
+        return _write(files["tmp"], "stalled.json", {"matrix": [w0, [1.0 - w for w in w0]]})
+
+    def test_chi_bar_labels_an_open_capacity_bracket(self, capsys, stalled):
+        code, out, _ = _run(capsys, ["asymptotics", "chi-bar", "--channel", stalled,
+                                     "--theta", "0.25"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        lower, upper = result["unconstrained_capacity_bracket"]
+        assert lower == result["unconstrained_capacity_bits"]
+        assert upper - lower >= asymptotics.CAPACITY_TOL
+
+    def test_capacity_series_labels_an_open_target_bracket(self, capsys, stalled):
+        code, out, _ = _run(capsys, ["asymptotics", "capacity-series", "--channel", stalled,
+                                     "--eps", "0.1"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        lower, upper = result["target_bracket"]
+        assert lower == result["target"]
+        assert upper - lower >= asymptotics.CAPACITY_TOL
+
+    @pytest.mark.parametrize("argv, key", [
+        (["chi-bar", "--theta", "0.25"], "unconstrained_capacity_bracket"),
+        (["capacity-series", "--eps", "0.1", "--kmax", "2"], "target_bracket"),
+    ])
+    def test_closed_capacity_prints_no_bracket(self, capsys, files, argv, key):
+        code, out, _ = _run(capsys, ["asymptotics", argv[0], "--channel", files["bsc01"]]
+                            + argv[1:])
+        assert code == 0
+        assert key not in out
 
 
 class TestErrorPaths:

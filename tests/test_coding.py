@@ -19,7 +19,6 @@ from thermocap import (
 )
 from thermocap import coding
 from thermocap.coding import (
-    SUCCESS_TOL,
     CapacityResult,
     _codebook_batches,
     _converse,
@@ -30,6 +29,7 @@ from thermocap.coding import (
     _uniform_deviation,
 )
 from thermocap.core import (
+    MASS_SLACK,
     DimensionMismatchError,
     ThermocapError,
     tensor_power_channel,
@@ -75,7 +75,7 @@ def first_feasible_enumerated(ch, eps, theta=None):
     for combos, cols in _codebook_batches(ch, range(ch.dim_in, 0, -1)):
         hits = _feasible(cols, eps)
         if theta is not None:
-            hits = hits[_uniform_deviation(_ml_composed(cols[hits])) <= 2.0 * theta + SUCCESS_TOL]
+            hits = hits[_uniform_deviation(_ml_composed(cols[hits])) <= 2.0 * theta + MASS_SLACK]
         if hits.size:
             return tuple(combos[hits[0]].tolist())
     return None
@@ -256,7 +256,7 @@ class TestOneShotCapacity:
         res = one_shot_capacity(ch, 0.3)
         assert (res.exact, res.method) == (False, "greedy_swap")
         assert res.bits == 1.0 < exact.bits
-        assert success_probability(classical_version(ch, res.codebook)) >= 0.7 - SUCCESS_TOL
+        assert success_probability(classical_version(ch, res.codebook)) >= 0.7 - MASS_SLACK
         assert res.codebook.decoder == ml_decoder(ch, res.codebook.inputs)
         # no seed to pick, and numpy's global generator does not move it
         for search in (one_shot_capacity, theta_equilibrium_capacity):
@@ -531,7 +531,7 @@ class TestBranchAndBound:
     def test_matches_enumeration_on_the_dyadic_boundary(self):
         # entries in sixteenths and eps = 1 - the success of some codebook of
         # M >= 2 symbols: the best M-codebook meets 1 - eps exactly (or
-        # within SUCCESS_TOL), where the converse can equal M (1 - eps) and
+        # within MASS_SLACK), where the converse can equal M (1 - eps) and
         # only the rounding slack keeps it from refuting M
         rng = np.random.default_rng(77)
         on_boundary = 0
@@ -543,7 +543,7 @@ class TestBranchAndBound:
             m = int(rng.integers(2, d_in + 1))
             combo = np.sort(rng.choice(d_in, size=m, replace=False))
             success = float(_ml_success(ch.matrix.T[combo][None])[0])
-            for eps in (1.0 - success, 1.0 - success - SUCCESS_TOL):
+            for eps in (1.0 - success, 1.0 - success - MASS_SLACK):
                 eps = max(eps, 0.0)
                 cb, _ = _search_exact(ch, eps, d_in)
                 assert cb.inputs == first_feasible_enumerated(ch, eps)
@@ -553,7 +553,7 @@ class TestBranchAndBound:
         assert on_boundary >= 40
 
     def test_matches_enumeration_when_the_target_is_a_codebook_success(self):
-        # eps nudged so that the leaf target (1 - eps) - SUCCESS_TOL is some
+        # eps nudged so that the leaf target (1 - eps) - MASS_SLACK is some
         # codebook's computed success: that codebook passes with no slack,
         # and the converse, summed in another order, may sit an ulp below
         # M times it; the rounding slack keeps such an M from being refuted
@@ -568,9 +568,9 @@ class TestBranchAndBound:
             for m in range(2, ch.dim_in + 1):
                 combo = np.sort(rng.choice(ch.dim_in, size=m, replace=False))
                 success = float(_ml_success(ch.matrix.T[combo][None])[0])
-                eps = 1.0 - success - SUCCESS_TOL
+                eps = 1.0 - success - MASS_SLACK
                 for _ in range(64):
-                    target = (1.0 - eps) - SUCCESS_TOL
+                    target = (1.0 - eps) - MASS_SLACK
                     if target == success:
                         break
                     eps = float(np.nextafter(eps, 1.0 if target > success else 0.0))
