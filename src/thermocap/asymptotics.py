@@ -40,6 +40,8 @@ CAPACITY_TOL = 1e-9
 STEIN_POINTS = 24
 #: seeded random encoder/decoder pairs constrained_holevo tries
 RANDOM_PAIRS = 200
+#: slack on constrained_holevo's test of a uniform deviation against 2 theta
+DEVIATION_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def constrained_holevo(
         """Uniform deviation of every M-to-M channel in a batch, the indices
         of those within 2*theta, and their mutual information."""
         dev = _uniform_deviation(t)
-        ok = np.flatnonzero(dev <= 2.0 * theta + 1e-12)
+        ok = np.flatnonzero(dev <= 2.0 * theta + DEVIATION_SLACK)
         return dev, ok, _mutual_information_bits(t[ok])
 
     top, scored = min(cap, ch.dim_in), 0

@@ -40,6 +40,10 @@ from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
 from .thermo import work_from_correlation
 
 _CHAIN_TOL = 1e-6
+#: slack on the checkers' test of the upper witness's deviation against 2(eps + delta)
+WITNESS_DEVIATION_TOL = 1e-9
+#: slack on landauer_scenario's test of the empirical success against its 3-sigma band
+BAND_SLACK = 1e-12
 #: seeded random inputs of thm2's lower search; thm4 draws RANDOM_INPUTS // dim_in per codebook
 RANDOM_INPUTS = 32
 
@@ -179,7 +183,7 @@ def capacity_entropic_bounds(
     upper = d0.bracket[1]
 
     problems = []
-    if deviation > 2.0 * (eps + delta) + 1e-9:
+    if deviation > 2.0 * (eps + delta) + WITNESS_DEVIATION_TOL:
         problems.append(f"witness deviation {deviation} exceeds 2(eps+delta)")
     if lower > cap.bits + _CHAIN_TOL:
         problems.append(f"lower estimate {lower} exceeds capacity {cap.bits}")
@@ -242,7 +246,7 @@ def capacity_work_bounds(
     upper = LN2 * d0_upper.bracket[1] + math.log(1.0 / (1.0 - eps - delta))
 
     problems = []
-    if deviation > 2.0 * (eps + delta) + 1e-9:
+    if deviation > 2.0 * (eps + delta) + WITNESS_DEVIATION_TOL:
         problems.append(f"witness deviation {deviation} exceeds 2(eps+delta)")
     if lower > center + _CHAIN_TOL:
         problems.append(f"lower estimate {lower} exceeds ln2 * capacity {center}")
@@ -388,7 +392,7 @@ def landauer_scenario(
     max_dist = float(np.abs(t - np.eye(m)).sum(axis=0).max())
     verdict = (
         "consistent"
-        if abs(empirical_ps - exact_ps) <= three_sigma + 1e-12
+        if abs(empirical_ps - exact_ps) <= three_sigma + BAND_SLACK
         else "violation: empirical success left the 3-sigma band"
     )
 

@@ -115,9 +115,14 @@ def _to_csv(report: dict) -> str:
     result = report.get("result", {})
     lines = []
     if "points" in result:  # convergence series render as data rows
-        lines.append("n,value,target")
-        for n, v in result["points"]:
-            lines.append(f"{n},{v},{result['target']}")
+        # a label column when the points carry labels, the target's bracket
+        # when it is open
+        labels, bracket = result.get("labels", ()), result.get("target_bracket", [])
+        lines.append("n,value,target" + (",label" if labels else "")
+                     + (",target_lower,target_upper" if bracket else ""))
+        for j, (n, v) in enumerate(result["points"]):
+            row = [n, v, result["target"], *labels[j : j + 1], *bracket]
+            lines.append(",".join(map(str, row)))
     else:
         rows = []
         _flatten("", report, rows)

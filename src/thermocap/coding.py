@@ -23,6 +23,7 @@ from .core import (
     SearchSpaceTooLargeError,
     StochasticChannel,
     ThermocapError,
+    PRUNE_SLACK,
     _count,
     _feasibility_threshold,
     trace_distance,
@@ -220,7 +221,7 @@ def _search_exact(ch, eps, m_cap):
         # included) and leaf sums: a few ulps per summed output and chosen
         # symbol, relative to the m * target the leaf sums are compared with
         need = m * target
-        floor = need - 1e-12 * abs(need) - 4.0 * np.finfo(float).eps * (ch.dim_out + m + 4) * m
+        floor = need - PRUNE_SLACK * abs(need) - 4.0 * np.finfo(float).eps * (ch.dim_out + m + 4) * m
         nodes += 1
         if converse[m] < floor:
             continue  # no m-codebook can reach it

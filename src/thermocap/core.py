@@ -21,6 +21,9 @@ SUM_TOL = 1e-9
 DEFAULT_DIM_CAP = 1 << 20
 #: slack on a mass (success, subset or window mass) tested against 1 - eps
 MASS_SLACK = 1e-12
+#: relative slack a branch-and-bound bound must clear before it prunes: the
+#: subset solver's incumbent r-mass, the capacity search's target M(1 - eps)
+PRUNE_SLACK = 1e-12
 
 
 class ThermocapError(Exception):

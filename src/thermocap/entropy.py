@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PRUNE_SLACK,
     _count,
     _feasibility_threshold,
     _freeze,
@@ -33,6 +34,14 @@ from .core import (
 ENUM_LIMIT = 32
 #: branch-and-bound nodes visited before the search stops with a bracket
 NODE_BUDGET = 1_000_000
+#: a fractional cover is complete once the mass still to cover is at most this
+COVER_TOL = 1e-15
+#: the cover bisects past items whose running sum ends this far short of the
+#: goal, far beyond any rounding of a sum of masses up to 1
+_BISECT_MARGIN = 1e-13
+#: floor of the meet-in-the-middle search's rounding window, which keeps the
+#: window open when the threshold and the masses are zero
+_WINDOW_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ def _enumerate_best_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     above[above] = ~(x[above] + qs[start[above]] > threshold)
     open_ = np.flatnonzero(below | above)
     if open_.size:
-        w = 16.0 * np.finfo(float).eps * (abs(threshold) + x[open_] + qs[-1]) + 1e-300
+        w = 16.0 * np.finfo(float).eps * (abs(threshold) + x[open_] + qs[-1]) + _WINDOW_FLOOR
         start[open_] = np.searchsorted(qs, t[open_] - w, side="left")
         end = np.full(start.size, n)
         end[open_] = np.searchsorted(qs, t[open_] + w, side="right")
@@ -212,13 +221,14 @@ def _greedy_cover(cum, mass, start, need):
     until they cover `need`; cum = [0, *np.cumsum(mass)] is bit for bit the
     sequential greedy's covered mass before each item.  Returns (k, frac):
     items start..k-1 whole and item k at fraction frac, which is 0.0 when
-    the cover completes before item k or the items run out (k = len(mass))."""
+    the cover completes (within COVER_TOL) before item k or the items run
+    out (k = len(mass))."""
     goal = cum[start] + need
     # items whose running sum stays clearly short of the goal are whole
-    first = max(start, bisect.bisect_left(cum, goal - 1e-13) - 1)
+    first = max(start, bisect.bisect_left(cum, goal - _BISECT_MARGIN) - 1)
     for k in range(first, len(mass)):
         left = goal - cum[k]
-        if left <= 1e-15:
+        if left <= COVER_TOL:
             return k, 0.0
         if mass[k] > left:
             return k, left / mass[k]
@@ -258,12 +268,16 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     set found and None when the search finished, so the set is optimal; when
     the budget ran out first, the root relaxation cost in place of None, a
     lower bound on the r-mass of every feasible set.
+
+    The node loop works on Python floats and lists, and a node's chosen
+    items are a linked chain (item, parent chain), so a push copies nothing.
     """
     free = np.flatnonzero(r == 0.0)
     order = _ratio_order(q, r)
     order = order[(r[order] > 0.0) & (q[order] > 0.0)]
     base_q = float(np.sum(q[free])) if free.size else 0.0
     qs, rs = q[order], r[order]
+    m = order.size
     suffix_q = np.concatenate([np.cumsum(qs[::-1])[::-1], [0.0]])
     # items with identical (q, r) are interchangeable: excluding one skips
     # the rest of its run, so only prefixes of a run are explored
@@ -274,51 +288,70 @@ def _branch_and_bound_subset(q: np.ndarray, r: np.ndarray, threshold: float):
     if not base_q + suffix_q[0] > threshold:
         raise ThermocapError("no feasible index set (eps <= 0?)")
     best_cost = float(np.sum(rs))
-    best_set = list(range(order.size))
-    qs_list, rs_list = qs.tolist(), rs.tolist()
+    best_chain, best_is_all = None, True
     cum_r = _running_sum(rs)
     # rounding of a relaxation that stops at item k: a few ulps per summed
     # item of the r running sums, and of the q running sums and `need`
     # priced at r/q of the fractional item
     ratios = rs / qs
-    rounding_at = (4.0 * np.finfo(float).eps * (np.arange(qs.size + 1) + 2)
+    rounding_at = (4.0 * np.finfo(float).eps * (np.arange(m + 1) + 2)
                    * (cum_r + np.append(ratios, ratios[-1:]))).tolist()
     cum_q, cum_r = _running_sum(qs).tolist(), cum_r.tolist()
+    qs, rs, suffix_q = qs.tolist(), rs.tolist(), suffix_q.tolist()
+    slack = 1.0 + PRUNE_SLACK
+    budget = NODE_BUDGET
+    bisect_left = bisect.bisect_left
 
-    def relaxation(start, need):
-        """Fractional-cover cost of `need` more q-mass from item `start` on,
-        and a bound on its rounding error; the items left must be able to
-        cover `need` (checked before each call)."""
-        k, frac = _greedy_cover(cum_q, qs_list, start, need)
-        return cum_r[k] - cum_r[start] + (frac * rs_list[k] if frac else 0.0), rounding_at[k]
-
-    stack = [(0, 0.0, 0.0, [])]
+    stack = [(0, 0.0, 0.0, None)]
+    push, pop = stack.append, stack.pop
     nodes = 0
-    while stack and nodes < NODE_BUDGET:
+    while stack and nodes < budget:
         nodes += 1
-        idx, q_acc, r_acc, chosen = stack.pop()
-        if base_q + q_acc > threshold:
+        idx, q_acc, r_acc, chain = pop()
+        have = base_q + q_acc
+        if have > threshold:
             if r_acc < best_cost:
-                best_cost = r_acc
-                best_set = chosen
+                best_cost, best_chain, best_is_all = r_acc, chain, False
             continue
-        if idx == order.size:
+        if idx == m:
             continue
-        if base_q + q_acc + suffix_q[idx] <= threshold:
+        if have + suffix_q[idx] <= threshold:
             continue  # cannot become feasible
-        cost, rounding = relaxation(idx, threshold - (base_q + q_acc))
+        # the fractional-cover relaxation from item idx on: _greedy_cover
+        # (`need` = threshold - have) and the cost of items idx..k-1 and
+        # frac of item k
+        goal = cum_q[idx] + (threshold - have)
+        k = bisect_left(cum_q, goal - _BISECT_MARGIN) - 1
+        if k < idx:
+            k = idx
+        frac = 0.0
+        while k < m:
+            left = goal - cum_q[k]
+            if left <= COVER_TOL:
+                break
+            if qs[k] > left:
+                frac = left / qs[k]
+                break
+            k += 1
+        cost = cum_r[k] - cum_r[idx] + (frac * rs[k] if frac else 0.0)
         # prune only past the rounding of both sides: masses can be far
         # below any absolute tolerance
-        if r_acc + cost > best_cost * (1.0 + 1e-12) + rounding:
+        if r_acc + cost > best_cost * slack + rounding_at[k]:
             continue
         # explore inclusion first: drives toward feasible incumbents quickly
-        stack.append((skip_to[idx], q_acc, r_acc, chosen))
-        stack.append((idx + 1, q_acc + qs[idx], r_acc + rs[idx], chosen + [idx]))
+        push((skip_to[idx], q_acc, r_acc, chain))
+        push((idx + 1, q_acc + qs[idx], r_acc + rs[idx], (idx, chain)))
 
-    indices = tuple(sorted([int(j) for j in free] + [int(order[i]) for i in best_set]))
+    chosen = []
+    while best_chain is not None:
+        item, best_chain = best_chain
+        chosen.append(item)
+    picked = order if best_is_all else order[chosen]
+    indices = tuple(sorted(free.tolist() + picked.tolist()))
     if not stack:
         return indices, None
-    return indices, relaxation(0, threshold - base_q)[0]
+    k, frac = _greedy_cover(cum_q, qs, 0, threshold - base_q)
+    return indices, cum_r[k] - cum_r[0] + (frac * rs[k] if frac else 0.0)
 
 
 def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Result:
@@ -359,17 +392,29 @@ def smoothed_renyi0(p: Distribution, q: Distribution, eps: float) -> Renyi0Resul
 
 #: ln k! for k = 0..31 by math.lgamma; Stirling's series takes over at 32
 _LOG_FACT_SMALL = _freeze(np.array([math.lgamma(j + 1.0) for j in range(32)]))
+#: the longest table of ln k! built so far, up to _LOG_FACT_KEEP entries
+_log_fact_table = _LOG_FACT_SMALL
+_LOG_FACT_KEEP = 1 << 16
+#: np.exp rounds every argument at or below this to 0.0
+_EXP_FLOOR = -746.0
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """ln k! for k = 0..n.  Every entry depends on k alone, so the table for
-    a larger n starts with the table for a smaller one, bit for bit."""
+    """ln k! for k = 0..n, read-only.  Every entry depends on k alone, so the
+    table for a larger n starts with the table for a smaller one, bit for
+    bit: one grow-only table is kept, and each call reads a prefix of it."""
+    global _log_fact_table
+    if n < _log_fact_table.size:
+        return _log_fact_table[: n + 1]
     # ln k! = ln Gamma(z), z = k + 1: Stirling's series through z^-7 from 32 on
     z = np.arange(33.0, n + 2.0)
     zi2 = 1.0 / (z * z)
     series = (1 / 12 - zi2 * (1 / 360 - zi2 * (1 / 1260 - zi2 / 1680))) / z
     stirling = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series
-    return np.concatenate((_LOG_FACT_SMALL[: n + 1], stirling))
+    table = _freeze(np.concatenate((_LOG_FACT_SMALL, stirling)))
+    if table.size <= _LOG_FACT_KEEP:
+        _log_fact_table = table
+    return table
 
 
 def _log_binomial(log_fact: np.ndarray, n: int) -> np.ndarray:
@@ -386,14 +431,19 @@ def _log_probs(prob0: float, prob1: float) -> tuple:
     return tuple(np.log(prob) if prob > 0.0 else -math.inf for prob in (prob0, prob1))
 
 
-def _log_law(log_binom: np.ndarray, log0: float, log1: float) -> np.ndarray:
-    """log P(k ones in n draws) for k = 0..n from ln C(n, k) and the binary
+def _log_law(log_binom: np.ndarray, log0: float, log1: float, ones=None) -> np.ndarray:
+    """log P(k ones in n draws) for the classes k in `ones` (an index array;
+    every k = 0..n by default) from ln C(n, k), k = 0..n, and the binary
     law's log-probabilities (log0, log1); 0 log 0 = 0, and a class that
-    needs a symbol of zero mass gets -inf."""
-    k = np.arange(log_binom.size)
-    out = log_binom.copy()
-    # k reversed is n - k
-    for count, log_prob in ((k, log1), (k[::-1], log0)):
+    needs a symbol of zero mass gets -inf.  Each entry is the same sum
+    whichever classes are asked for."""
+    n = log_binom.size - 1
+    if ones is None:
+        ones = np.arange(n + 1)
+        out, zeros = log_binom.copy(), ones[::-1]  # k reversed is n - k
+    else:
+        out, zeros = log_binom[ones], n - ones
+    for count, log_prob in ((ones, log1), (zeros, log0)):
         if log_prob > -math.inf:
             out += count * log_prob
         else:
@@ -405,10 +455,10 @@ def _exp(x: np.ndarray) -> np.ndarray:
     """np.exp(x) bit for bit, for x without NaN.  numpy's vector exp is
     several times slower on an argument whose result underflows (below
     about -708.4) than on the rest; the entries outside the span of
-    arguments above -746, whose exp rounds to 0.0, are not computed."""
-    if x.min() > -746.0:
+    arguments above _EXP_FLOOR, whose exp rounds to 0.0, are not computed."""
+    if x.min() > _EXP_FLOOR:
         return np.exp(x)
-    live = np.flatnonzero(x > -746.0)
+    live = np.flatnonzero(x > _EXP_FLOOR)
     out = np.zeros(x.size)
     if live.size:
         span = slice(live[0], live[-1] + 1)
@@ -416,26 +466,53 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_order(log_ratio: np.ndarray) -> np.ndarray:
-    """np.lexsort((k, log_ratio)), read off directly when log_ratio is
-    strictly monotone in k.  Neighbours are compared, never subtracted: two
-    +inf classes would warn in inf - inf."""
-    k = np.arange(log_ratio.size)
+def _class_order(log_ratio: np.ndarray):
+    """An index that puts the classes in the order np.lexsort((k,
+    log_ratio)): a slice, k or k reversed, when log_ratio is strictly
+    monotone in k, else that permutation.  Neighbours are compared, never
+    subtracted: two +inf classes would warn in inf - inf."""
     if (log_ratio[1:] > log_ratio[:-1]).all():
-        return k
+        return slice(None)
     if (log_ratio[1:] < log_ratio[:-1]).all():
-        return k[::-1]
-    return np.lexsort((k, log_ratio))
+        return slice(None, None, -1)
+    return np.lexsort((np.arange(log_ratio.size), log_ratio))
+
+
+def _ordered_cover(log_mass: np.ndarray, order, need: float) -> tuple:
+    """_greedy_cover(cum, mass, 0, need) for mass = _exp(log_mass)[order],
+    bit for bit.  For a slice order only the live span is exponentiated
+    (contiguous, as _exp does: numpy's exp can round a strided view
+    differently) and summed.  The masses outside it are exact zeros: the
+    running sum passes leading zeros unchanged and the sequential greedy
+    takes none of them, and past the span the cover completes at once or
+    never."""
+    if not isinstance(order, slice):
+        mass = _exp(log_mass)[order]
+        return _greedy_cover(_running_sum(mass), mass, 0, need)
+    if need <= COVER_TOL:
+        return 0, 0.0  # complete before the first item
+    live = np.flatnonzero(log_mass > _EXP_FLOOR)
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    mass = np.exp(log_mass[lo:hi])[order]
+    # the span's first and last position in processing order
+    first, end = (lo, hi) if order.step is None else (log_mass.size - hi, log_mass.size - lo)
+    cum = _running_sum(mass)
+    k, frac = _greedy_cover(cum, mass, 0, need)
+    if k < mass.size:
+        return first + k, frac
+    return (end if need - cum[-1] <= COVER_TOL else log_mass.size), 0.0
 
 
 def _iid_binary_bits(logs_p, logs_q, eps: float, n: int, log_fact: np.ndarray) -> float:
     """hypothesis_testing_entropy_iid_binary on validated inputs: the binary
-    laws as _log_probs pairs and a table of ln k! that reaches n."""
+    laws as _log_probs pairs and a table of ln k! that reaches n.  The
+    state's class masses are exponentiated over their live span only, in
+    ratio order through a view when that order is k or k reversed, and the
+    reference's log-masses are formed on the covered classes only."""
     (lp0, lp1), (lq0, lq1) = logs_p, logs_q
     k = np.arange(n + 1)
     log_binom = _log_binomial(log_fact, n)
     log_pmass = _log_law(log_binom, lp0, lp1)
-    log_rmass = _log_law(log_binom, lq0, lq1)
 
     # per-string log likelihood ratio of reference to state, class k, from
     # the symbols the class holds; classes p gives no mass go last
@@ -447,13 +524,10 @@ def _iid_binary_bits(logs_p, logs_q, eps: float, n: int, log_fact: np.ndarray) -
         log_ratio[log_pmass == -np.inf] = np.inf
     order = _class_order(log_ratio)
 
-    pmass = _exp(log_pmass)[order]
-    cut, frac = _greedy_cover(_running_sum(pmass), pmass, 0, 1.0 - eps)
+    cut, frac = _ordered_cover(log_pmass, order, 1.0 - eps)
+    terms = _log_law(log_binom, lq0, lq1, k[order][: cut + (frac > 0.0)])
     if frac > 0.0:
-        terms = log_rmass[order[: cut + 1]]
         terms[-1] = math.log(frac) + terms[-1]
-    else:
-        terms = log_rmass[order[:cut]]
     # classes the reference gives no mass add nothing to the cost
     if -math.inf in (lq0, lq1):
         terms = terms[np.isfinite(terms)]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     LN2,
+    SUM_TOL,
     Distribution,
     DimensionMismatchError,
     ErrorParams,
@@ -39,6 +40,9 @@ DEFAULT_E_CUT = 50.0
 DEFAULT_K_STEPS = 400
 #: atoms the exact work convolution may hold before it moves to a grid
 ATOM_BUDGET = 1_000_000
+#: pad on each closed end of eps_delta_work's windows, so that an atom on
+#: an edge survives the rounding of the edge
+WINDOW_PAD = 1e-12
 
 _PRUNE_TOL = 1e-18
 _DENSE_CAP = 20_000_000
@@ -60,7 +64,7 @@ class WorkProcess:
             raise ThermocapError("process levels must be a rectangular numeric array") from None
         if levels.ndim != 2 or len(levels) < 2 or not levels.size or not np.isfinite(levels).all():
             raise ThermocapError("process levels must be finite, in two or more rows of levels")
-        if not np.allclose(levels[-1], levels[0], rtol=0.0, atol=1e-9):
+        if not np.allclose(levels[-1], levels[0], rtol=0.0, atol=SUM_TOL):
             raise ThermocapError("process must end at the initial Hamiltonian")
         object.__setattr__(self, "levels", _freeze(levels))
 
@@ -93,7 +97,7 @@ class WorkDistribution:
         if values.shape != probs.shape or values.ndim != 1:
             raise ThermocapError("values and probs must be matching vectors")
         total = probs.sum()
-        if abs(float(total) - 1.0) > 1e-9:
+        if abs(float(total) - 1.0) > SUM_TOL:
             raise ThermocapError("work distribution must be normalised")
         if _strictly_ascending(values):
             # what every internal producer hands over: the argsort below
@@ -320,10 +324,10 @@ def eps_delta_work(wd: WorkDistribution, eps: float, delta: float = 0.0) -> floa
     _check_delta(delta)
 
     # the supremum over qualifying centers is attained with the window's left
-    # edge exactly on an atom; closed windows are padded by 1e-12 so edge
+    # edge exactly on an atom; closed windows are padded by WINDOW_PAD so edge
     # atoms survive rounding
-    lo_idx = np.searchsorted(gains, gains - 1e-12, side="left")
-    hi_idx = np.searchsorted(gains, gains + 2.0 * delta + 1e-12, side="right")
+    lo_idx = np.searchsorted(gains, gains - WINDOW_PAD, side="left")
+    hi_idx = np.searchsorted(gains, gains + 2.0 * delta + WINDOW_PAD, side="right")
     masses = cum[hi_idx] - cum[lo_idx]
     qualifying = np.flatnonzero(masses > need)
     if qualifying.size == 0:

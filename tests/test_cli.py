@@ -452,6 +452,28 @@ class TestAsymptoticsCommands:
         assert lower == result["target"]
         assert upper - lower >= asymptotics.CAPACITY_TOL
 
+    def test_capacity_series_csv_keeps_labels_and_an_open_bracket(self, capsys, stalled):
+        argv = ["asymptotics", "capacity-series", "--channel", stalled, "--eps", "0.1"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        result = json.loads(out)["result"]
+        code, out, _ = _run(capsys, ["--format", "csv"] + argv)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,value,target,label,target_lower,target_upper"
+        lower, upper = result["target_bracket"]
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(n), str(v), str(result["target"]), label, str(lower), str(upper)]
+            for (n, v), label in zip(result["points"], result["labels"])]
+
+    def test_capacity_series_csv_closed_target_has_labels_only(self, capsys, files):
+        code, out, _ = _run(capsys, ["--format", "csv", "asymptotics", "capacity-series",
+                                     "--channel", files["bsc01"], "--eps", "0.1", "--kmax", "2"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,value,target,label"
+        assert [line.split(",")[3] for line in lines[1:]] == ["exact", "exact"]
+
     @pytest.mark.parametrize("argv, key", [
         (["chi-bar", "--theta", "0.25"], "unconstrained_capacity_bracket"),
         (["capacity-series", "--eps", "0.1", "--kmax", "2"], "target_bracket"),

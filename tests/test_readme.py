@@ -47,6 +47,20 @@ def test_every_budget_and_tolerance_is_named():
     assert not unnamed
 
 
+def test_no_small_float_literal_outside_a_module_constant():
+    # a tolerance or slack written inline escapes the list above: every float
+    # literal below 1e-6 must sit in a module-level constant assignment
+    found = []
+    for path in sorted((ROOT / "src" / "thermocap").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(sub) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for sub in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < abs(node.value) < 1e-6 and id(node) not in named]
+    assert not found
+
+
 def test_seed_bullet_lists_every_seeded_function():
     bullet = re.search(r"^- Every `seed` argument \(([^)]*)\)", README, re.M)
     listed = set(re.findall(r"`(\w+)`", bullet.group(1)))
