@@ -184,17 +184,18 @@ def constrained_holevo(
     decoding) are enumerated size by size within CODEBOOK_BUDGET (a walk
     stopped there names its last size as largest_size_scored in the
     witness), then RANDOM_PAIRS seeded random stochastic pairs are tried;
-    the result is always a lower estimate of the true supremum.  The random
-    pairs are drawn one after another in seeded order, exactly as per-pair
-    `Generator.dirichlet` calls would draw them, and scored in one batch per
-    message count; a random witness is the first pair in draw order
-    attaining the best value.
+    the result is always a lower estimate of the true supremum.  A pair has
+    at most max_messages messages, which defaults to and is clamped at
+    max(dim_in, dim_out).  The random pairs are drawn one after another in
+    seeded order, exactly as per-pair `Generator.dirichlet` calls would draw
+    them, and scored in one batch per message count; a random witness is the
+    first pair in draw order attaining the best value.
     """
     if not 0.0 < theta < 0.5:
         raise ThermocapError("need 0 < theta < 1/2")
     cap = max(ch.dim_in, ch.dim_out)
     if max_messages is not None:
-        cap = _count(max_messages, "max_messages")
+        cap = min(_count(max_messages, "max_messages"), cap)
     n_pairs = RANDOM_PAIRS
     rng = np.random.default_rng(_count(seed, "seed", low=0))
     best = 0.0

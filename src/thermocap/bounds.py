@@ -11,7 +11,7 @@ implementation bug, not new physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .entropy import binary_entropy, hypothesis_testing_entropy, smoothed_renyi0
 from .thermo import work_from_correlation
 
 _CHAIN_TOL = 1e-6
-#: slack on the checkers' test of the upper witness's deviation against 2(eps + delta)
+#: slack on the sandwich chain's test of the upper witness's deviation against its
+#: limit: 2(eps + delta) in thm2 and thm4, 2 theta in prop2
 WITNESS_DEVIATION_TOL = 1e-9
 #: slack on landauer_scenario's test of the empirical success against its 3-sigma band
 BAND_SLACK = 1e-12
@@ -120,17 +121,6 @@ def _codebook_renyi0(ch: StochasticChannel, codebook, eps: float, draws: int = 0
     return cv, [smoothed_renyi0(*_output_joint(cv.matrix, eta), eps) for eta in etas]
 
 
-def _upper_witness(ch: StochasticChannel, codebook, eps: float):
-    """Gibbs deviation of the codebook's classical version and the smoothed
-    Renyi-0 result of its output on the maximally correlated input."""
-    cv, (d0,) = _codebook_renyi0(ch, codebook, eps)
-    return gibbs_deviation(cv), d0
-
-
-def _verdict(problems) -> str:
-    return "consistent" if not problems else "violation: " + "; ".join(problems)
-
-
 def _best_codebooks_per_size(ch: StochasticChannel):
     """Highest-success codebook for message counts 1, 2, ... as far as the
     walk gets within CODEBOOK_BUDGET; the first maximum of each size wins."""
@@ -142,6 +132,39 @@ def _best_codebooks_per_size(ch: StochasticChannel):
         if m not in best or ps[i] > best[m][0]:
             best[m] = (ps[i], combos[i])
     return [_codebook_from_combo(ch, combo) for _, combo in best.values()]
+
+
+def _sandwich(ch: StochasticChannel, cap, level: float, limit: float, scale: float,
+              slack: float, lower: float, terms: dict, **extra) -> BoundReport:
+    """The chain lower <= capacity <= upper witness shared by the checkers.
+
+    The upper witness is scale times the upper end of the smoothed Renyi-0
+    bracket, at `level`, of the capacity codebook's classical version on the
+    maximally correlated input, plus `slack`; the codebook may move the
+    uniform state by at most `limit` in L1.  scale is 1 in bits and ln2 in
+    k_B*T.  `extra` joins the witnesses.
+    """
+    cv, (d0,) = _codebook_renyi0(ch, cap.codebook, level)
+    deviation = gibbs_deviation(cv)
+    capacity = scale * cap.bits
+    # no zero slack is added: -0.0 + 0.0 would print a -0.0 bracket as 0.0
+    upper = scale * d0.bracket[1] + slack if slack else scale * d0.bracket[1]
+    problems = []
+    if deviation > limit + WITNESS_DEVIATION_TOL:
+        problems.append(f"witness deviation {deviation} exceeds {limit}")
+    if lower > capacity + _CHAIN_TOL:
+        problems.append(f"lower estimate {lower} exceeds capacity {capacity}")
+    if capacity > upper + _CHAIN_TOL:
+        problems.append(f"capacity {capacity} exceeds upper witness {upper}")
+    return BoundReport(
+        lower_estimate=lower,
+        capacity=capacity,
+        upper_witness_value=upper,
+        error_terms=terms,
+        witnesses={"codebook_inputs": list(cap.codebook.inputs), "gibbs_deviation": deviation,
+                   "renyi0_witness": list(d0.witness.indices), **extra},
+        verdict="consistent" if not problems else "violation: " + "; ".join(problems),
+    )
 
 
 def capacity_entropic_bounds(
@@ -177,34 +200,13 @@ def capacity_entropic_bounds(
         bits, _ = hypothesis_testing_entropy(q, r, omega)
         if bits > best_dh:
             best_dh, best_inputs = bits, inputs
-    lower = best_dh - terms["sandwich_penalty_bits"]
-
-    deviation, d0 = _upper_witness(ch, cap.codebook, eps + delta)
-    upper = d0.bracket[1]
-
-    problems = []
-    if deviation > 2.0 * (eps + delta) + WITNESS_DEVIATION_TOL:
-        problems.append(f"witness deviation {deviation} exceeds 2(eps+delta)")
-    if lower > cap.bits + _CHAIN_TOL:
-        problems.append(f"lower estimate {lower} exceeds capacity {cap.bits}")
-    if cap.bits > upper + _CHAIN_TOL:
-        problems.append(f"capacity {cap.bits} exceeds upper witness {upper}")
-
-    return BoundReport(
-        lower_estimate=lower,
-        capacity=cap.bits,
-        upper_witness_value=upper,
-        error_terms=terms,
-        witnesses={
-            "codebook_inputs": list(cap.codebook.inputs),
-            "codebook_decoder": list(cap.codebook.decoder),
-            "gibbs_deviation": deviation,
-            "best_lower_inputs": list(best_inputs) if best_inputs is not None else None,
-            "best_lower_dh_bits": best_dh,
-            "renyi0_witness": list(d0.witness.indices),
-            **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
-        },
-        verdict=_verdict(problems),
+    return _sandwich(
+        ch, cap, eps + delta, 2.0 * (eps + delta), 1.0, 0.0,
+        best_dh - terms["sandwich_penalty_bits"], terms,
+        codebook_decoder=list(cap.codebook.decoder),
+        best_lower_inputs=list(best_inputs) if best_inputs is not None else None,
+        best_lower_dh_bits=best_dh,
+        **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
     )
 
 
@@ -229,8 +231,6 @@ def capacity_work_bounds(
     terms = error_terms(params)
 
     cap = _exact_or_raise(one_shot_capacity(ch, eps))
-    center = LN2 * cap.bits
-
     best_d0 = 0.0
     best_desc = None
     rng = np.random.default_rng(seed)
@@ -239,35 +239,13 @@ def capacity_work_bounds(
         for d0 in _codebook_renyi0(ch, cb, omega, RANDOM_INPUTS // ch.dim_in, rng)[1]:
             if d0.bits > best_d0:
                 best_d0, best_desc = d0.bits, list(cb.inputs)
-    lower = LN2 * best_d0 - terms["work_penalty_kT"]
-    lower_bracket = (LN2 * best_d0, LN2 * best_d0 + math.log(1.0 / (1.0 - omega)))
-
-    deviation, d0_upper = _upper_witness(ch, cap.codebook, eps + delta)
-    upper = LN2 * d0_upper.bracket[1] + math.log(1.0 / (1.0 - eps - delta))
-
-    problems = []
-    if deviation > 2.0 * (eps + delta) + WITNESS_DEVIATION_TOL:
-        problems.append(f"witness deviation {deviation} exceeds 2(eps+delta)")
-    if lower > center + _CHAIN_TOL:
-        problems.append(f"lower estimate {lower} exceeds ln2 * capacity {center}")
-    if center > upper + _CHAIN_TOL:
-        problems.append(f"ln2 * capacity {center} exceeds upper estimate {upper}")
-
-    return BoundReport(
-        lower_estimate=lower,
-        capacity=center,
-        upper_witness_value=upper,
-        error_terms=terms,
-        witnesses={
-            "codebook_inputs": list(cap.codebook.inputs),
-            "gibbs_deviation": deviation,
-            "best_lower_codebook": best_desc,
-            "best_lower_d0_bits": best_d0,
-            "lower_surrogate_bracket_kT": list(lower_bracket),
-            "renyi0_witness": list(d0_upper.witness.indices),
-            **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
-        },
-        verdict=_verdict(problems),
+    return _sandwich(
+        ch, cap, eps + delta, 2.0 * (eps + delta), LN2, math.log(1.0 / (1.0 - eps - delta)),
+        LN2 * best_d0 - terms["work_penalty_kT"], terms,
+        best_lower_codebook=best_desc,
+        best_lower_d0_bits=best_d0,
+        lower_surrogate_bracket_kT=[LN2 * best_d0, LN2 * best_d0 + math.log(1.0 / (1.0 - omega))],
+        **({"largest_size_scored": len(per_size)} if len(per_size) < ch.dim_in else {}),
     )
 
 
@@ -276,38 +254,20 @@ def equilibrium_capacity_bounds(ch: StochasticChannel, eps: float, theta: float)
 
     Verifies constrained capacity (= capacity, one search) <= correlation-work
     surrogate, the upper end of the doubled-error smoothed Renyi-0 bracket
-    of the constrained witness (its own work bracket is attached).
+    of the constrained witness (its own work bracket is attached), and that
+    the witness moves the uniform state by at most 2*theta, which
+    `theta_equilibrium_capacity` proves of every feasible codebook.
     """
     limit = ErrorParams.WORK_EPS_MAX / 2.0
     if not 0.0 < eps < limit:
         raise ThermocapError(f"need 0 < eps < {limit:.6f}")
-    if not eps <= theta < 0.5:
-        raise ThermocapError("need eps <= theta < 1/2")
-
     cap = _exact_or_raise(theta_equilibrium_capacity(ch, eps, theta))
-    deviation, d0 = _upper_witness(ch, cap.codebook, 2.0 * eps)
-    surrogate = d0.bracket[1]
-    surrogate_upper = surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))
-
-    problems = []
-    if cap.bits > surrogate + _CHAIN_TOL:
-        problems.append("constrained capacity exceeds the work surrogate")
-
-    return BoundReport(
-        lower_estimate=cap.bits,
-        capacity=cap.bits,
-        upper_witness_value=surrogate,
-        error_terms={
-            "surrogate_bracket_bits": [surrogate, surrogate_upper],
-            "doubled_eps": 2.0 * eps,
-        },
-        witnesses={
-            "codebook_inputs": list(cap.codebook.inputs),
-            "gibbs_deviation": deviation,
-            "renyi0_witness": list(d0.witness.indices),
-        },
-        verdict=_verdict(problems),
-    )
+    report = _sandwich(ch, cap, 2.0 * eps, 2.0 * theta, 1.0, 0.0, cap.bits, {})
+    surrogate = report.upper_witness_value
+    return replace(report, error_terms={
+        "surrogate_bracket_bits": [surrogate, surrogate + math.log2(1.0 / (1.0 - 2.0 * eps))],
+        "doubled_eps": 2.0 * eps,
+    })
 
 
 @dataclass(frozen=True)

@@ -244,10 +244,13 @@ class StochasticChannel:
     @staticmethod
     def from_dict(data: dict) -> "StochasticChannel":
         ch = StochasticChannel(data["matrix"])
-        if "dim_in" in data and int(data["dim_in"]) != ch.dim_in:
-            raise ThermocapError("dim_in does not match matrix shape")
-        if "dim_out" in data and int(data["dim_out"]) != ch.dim_out:
-            raise ThermocapError("dim_out does not match matrix shape")
+        for key, dim in (("dim_in", ch.dim_in), ("dim_out", ch.dim_out)):
+            given = data.get(key, dim)
+            # a TypeError, so that a reader reports the file as malformed
+            if isinstance(given, bool) or not isinstance(given, numbers.Integral):
+                raise TypeError(f"{key} must be an integer, not {given!r}")
+            if given != dim:
+                raise ThermocapError(f"{key} does not match matrix shape")
         return ch
 
 

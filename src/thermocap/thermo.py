@@ -96,9 +96,16 @@ class WorkDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if values.shape != probs.shape or values.ndim != 1:
             raise ThermocapError("values and probs must be matching vectors")
+        if self.mode not in ("exact", "binned", "coarsened"):
+            raise ThermocapError(f"unknown work distribution mode {self.mode!r}")
         total = probs.sum()
         if abs(float(total) - 1.0) > SUM_TOL:
             raise ThermocapError("work distribution must be normalised")
+        # reductions, so no temporary the size of the distribution; a NaN fails either test
+        if not probs.min() >= 0.0:
+            raise ThermocapError("work probabilities must be nonnegative")
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            raise ThermocapError("work values must be finite")
         if _strictly_ascending(values):
             # what every internal producer hands over: the argsort below
             # would be the identity
@@ -112,10 +119,6 @@ class WorkDistribution:
     @property
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
-
-    @property
-    def variance(self) -> float:
-        return float(np.dot((self.values - self.mean) ** 2, self.probs))
 
     def to_dict(self) -> dict:
         out = {

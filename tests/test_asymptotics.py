@@ -245,6 +245,18 @@ class TestConstrainedHolevo:
             constrained_holevo(StochasticChannel.binary_symmetric(0.1), 0.25,
                                max_messages=max_messages)
 
+    @pytest.mark.parametrize("dims, channel_seed", [((2, 2), 0), ((3, 2), 4), ((2, 4), 0)])
+    def test_max_messages_past_the_default_is_clamped(self, dims, channel_seed):
+        # M x M composed channels: an unclamped cap drew larger M, and a huge
+        # one asked for gigabytes per pair.  On these noisy channels a random
+        # pair wins, so a cap that changed the draws would change the answer
+        ch = random_channel(np.random.default_rng(channel_seed), *dims)
+        want = constrained_holevo(ch, 0.1, seed=3)
+        assert want.witness["kind"] == "random"
+        got = constrained_holevo(ch, 0.1, max_messages=max(dims) + 5, seed=3)
+        assert (got.bits, got.message_count, got.witness) == \
+            (want.bits, want.message_count, want.witness)
+
     def test_enumeration_stops_at_the_budget(self, monkeypatch):
         # identity(6) has 6 + 15 + 20 codebooks of sizes 1..3: at a budget of
         # 41 the walk scores those alone, answers, and names where it stopped

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from thermocap import (
     tensor_power_channel,
     theta_equilibrium_capacity,
 )
-from thermocap import bounds, coding
+from thermocap import bounds, cli, coding
 from thermocap.bounds import _best_codebooks_per_size
 from thermocap.core import (
     LN2,
@@ -355,3 +357,79 @@ class TestSearchFamily:
         assert report.verdict == "consistent"
         assert report.capacity == full.capacity
         assert report.lower_estimate <= full.lower_estimate
+
+
+#: each sandwich checker with its CLI arguments; prop2's theta leaves room
+#: between its deviation limit 2 theta = 0.5 and the doubled smoothing 2(2 eps)
+CHAINS = {
+    "thm2": (lambda ch: capacity_entropic_bounds(ch, THM2),
+             ["--eps", "0.15", "--omega", "0.075", "--delta", "0.05"]),
+    "thm4": (lambda ch: capacity_work_bounds(ch, THM4),
+             ["--eps", "0.2", "--omega", "0.1", "--delta", "0.05"]),
+    "prop2": (lambda ch: equilibrium_capacity_bounds(ch, 0.1, 0.25),
+              ["--eps", "0.1", "--theta", "0.25"]),
+}
+
+
+def break_lower(mp, which):
+    """Raise every value of the lower search by 50 bits."""
+    if which == "thm2":
+        search = bounds.hypothesis_testing_entropy
+        mp.setattr(bounds, "hypothesis_testing_entropy",
+                   lambda q, r, eps: (search(q, r, eps)[0] + 50.0, None))
+    else:  # thm4 scores its codebooks' smoothed Renyi-0 at omega
+        renyi0 = bounds.smoothed_renyi0
+
+        def inflated(p, q, eps):
+            res = renyi0(p, q, eps)
+            return replace(res, bits=res.bits + 50.0) if eps == THM4.omega else res
+
+        mp.setattr(bounds, "smoothed_renyi0", inflated)
+
+
+def break_upper(mp, which):
+    """Put the upper witness's smoothed Renyi-0 bracket at -50 bits."""
+    renyi0 = bounds.smoothed_renyi0
+
+    def deflated(p, q, eps):
+        res = renyi0(p, q, eps)
+        lower_search = which == "thm4" and eps == THM4.omega
+        return res if lower_search else replace(res, bits=-50.0, bracket=(-50.0, -50.0))
+
+    mp.setattr(bounds, "smoothed_renyi0", deflated)
+
+
+def break_deviation(mp, which, value=0.99):
+    mp.setattr(bounds, "gibbs_deviation", lambda cv: value)
+
+
+BREAKS = [("thm2", break_lower, "lower estimate"), ("thm4", break_lower, "lower estimate")] + [
+    (which, brk, link) for which in CHAINS
+    for brk, link in [(break_upper, "exceeds upper"), (break_deviation, "witness deviation")]
+]
+
+
+class TestViolations:
+    # a broken link of a chain is reported by name, and the CLI exits 2
+    @pytest.mark.parametrize("which, brk, link", BREAKS,
+                             ids=[f"{w}-{b.__name__}" for w, b, _ in BREAKS])
+    def test_broken_link_is_a_violation(self, monkeypatch, tmp_path, capsys, which, brk, link):
+        check, argv = CHAINS[which]
+        ch = StochasticChannel.identity(2)
+        assert check(ch).consistent
+        brk(monkeypatch, which)
+        verdict = check(ch).verdict
+        assert verdict.startswith("violation: ")
+        assert link in verdict and ";" not in verdict, verdict
+
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(ch.to_dict()))
+        assert cli.main(["bounds", which, "--channel", str(path)] + argv) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == verdict
+
+    @pytest.mark.parametrize("theta, verdict", [(0.25, "consistent"), (0.2, "violation")])
+    def test_prop2_witness_stays_within_two_theta(self, monkeypatch, theta, verdict):
+        # 0.45 is past 2(2 eps) = 0.4 but within 2 theta = 0.5: only theta binds
+        break_deviation(monkeypatch, "prop2", 0.45)
+        report = equilibrium_capacity_bounds(StochasticChannel.identity(2), 0.1, theta)
+        assert report.verdict.startswith(verdict)

@@ -499,6 +499,11 @@ class TestErrorPaths:
         ({"matrix": [[0.9, 0.1], [0.1, 0.9]], "dim_in": "x"},
          ["capacity", "--channel", "BAD", "--eps", "0.1"]),
         ([0.0, 1.0], ["workext", "--state", "state2", "--hamiltonian", "BAD", "--eps", "0.1"]),
+        # int() once read both as the one input of this channel
+        ({"matrix": [[0.9], [0.1]], "dim_in": 1.5},
+         ["capacity", "--channel", "BAD", "--eps", "0.1"]),
+        ({"matrix": [[0.9], [0.1]], "dim_in": True},
+         ["capacity", "--channel", "BAD", "--eps", "0.1"]),
     ])
     def test_malformed_file(self, capsys, files, payload, argv):
         # a file of the wrong shape is reported like an unreadable one

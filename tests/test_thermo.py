@@ -204,6 +204,31 @@ class TestEpsDeltaWork:
             assert v2 >= v1 - 1e-12
 
 
+class TestWorkDistributionValidation:
+    # a negative atom once summed to 1 with the rest and eps_delta_work read
+    # it as probability; an unknown mode was printed by to_dict
+    @pytest.mark.parametrize("values, probs, mode", [
+        ([0.0, 1.0], [1.5, -0.5], "exact"),
+        ([0.0, 1.0], [math.nan, 1.0], "exact"),
+        ([0.0, 1.0], [math.nan, math.nan], "exact"),
+        ([0.0, math.nan], [0.5, 0.5], "exact"),
+        ([0.0, math.inf], [0.5, 0.5], "binned"),
+        ([-math.inf, 0.0], [0.5, 0.5], "exact"),
+        ([0.0, 1.0], [0.5, 0.5], "bogus"),
+        ([0.0, 1.0], [0.5, 0.5], None),
+    ])
+    def test_bad_input_rejected(self, values, probs, mode):
+        with pytest.raises(ThermocapError):
+            WorkDistribution(values=np.array(values), probs=np.array(probs), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "binned", "coarsened"])
+    def test_every_mode_accepted(self, mode):
+        wd = WorkDistribution(values=np.array([1.0, 0.0]), probs=np.array([0.25, 0.75]),
+                              mode=mode, resolution=1e-3, grid_error=5e-4)
+        assert wd.values.tolist() == [0.0, 1.0]
+        assert wd.probs.tolist() == [0.75, 0.25]
+
+
 class TestWorkInputs:
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
     def test_bad_delta_rejected_before_the_protocol(self, monkeypatch, delta):
@@ -957,7 +982,7 @@ class TestSortedValues:
         [0.5, 0.5, -1.0, 0.5, 2.0],
         [0.0, -0.0, 1.0, -0.0, 0.0],
         [-0.0, 0.0],
-        [1.0, math.nan, -1.0, 0.5],
+        [2.0, 1.0, 0.5, -1.0],  # a NaN value, which this row held, is now rejected
         [-1.0, 0.25, 2.0],
         [7.0],
     ])
